@@ -140,68 +140,39 @@ class Classification:
     degree: Optional[int] = None
 
 
-def _reduce_sorted(
-    k: int, x: tuple[int, ...]
-) -> tuple[TerminalKind, list[tuple[tuple[int, ...], tuple[int, ...], int, int]]]:
-    """Run the reduction on raw tuples, recording every step.
+# (before, sorted, r, degree_after), the raw form of a ReductionStep
+_StepRecord = tuple[tuple[int, ...], tuple[int, ...], int, int]
 
-    Caller guarantees: entries in [0, d], q = 2, d >= 1.  Returns the
-    terminal kind and the step records (before, sorted, r, degree_after).
+
+def _walk(
+    k: int, x: Sequence[int], steps: Optional[list[_StepRecord]] = None
+) -> TerminalKind:
+    """The contraction walk x -> s_beta(dec(x)) on raw entries.
+
+    Caller guarantees: entries in [0, d], q = 2, d >= 1.  When ``steps`` is
+    a list, each step is appended to it as (before, sorted, r, degree_after).
+    The head (first k entries, shifted by r) and the tail stay sorted, so
+    the window [0, degree_after] is checked at their ends only.
     """
-    steps: list[tuple[tuple[int, ...], tuple[int, ...], int, int]] = []
-    d0 = sum(x) // k
-    while True:
-        s = tuple(sorted(x, reverse=True))
-        total = sum(s)
-        d = total // k
-        r = (total - sum(s[:k])) - 2 * d
-        y = tuple(c + r for c in s[:k]) + s[k:]
-        d_new = d + r
-        steps.append((x, s, r, d_new))
-        if all(c <= 0 for c in y):
-            minus_beta = sum(1 for c in y if c == -1) == k and all(
-                c in (0, -1) for c in y
-            )
-            terminal = (
-                TerminalKind.REACHED_MINUS_BETA
-                if minus_beta
-                else TerminalKind.ALL_NONPOSITIVE
-            )
-            return terminal, steps
-        if any(c < 0 or c > d_new for c in y):
-            return TerminalKind.RANGE_VIOLATION, steps
-        x = y
-        if len(steps) > d0 + 1:  # cannot happen: degree drops every step
-            raise RuntimeError("reduction failed to terminate")
-
-
-def is_real_sorted_candidate(k: int, x: tuple[int, ...]) -> bool:
-    """Fast path for enumeration: is a sorted candidate a real root?
-
-    ``x`` must be non-increasing with entries in [0, d], sum k*d, q = 2,
-    d >= 1.  No trace is built.
-    """
-    remaining = sum(x) // k + 1  # degree drops every step
-    while True:
-        remaining -= 1
-        if remaining < 0:  # cannot happen on contract-valid input
-            raise RuntimeError("reduction failed to terminate")
-        total = sum(x)
-        d = total // k
-        r = (total - sum(x[:k])) - 2 * d
-        d_new = d + r
-        head = [c + r for c in x[:k]]
-        tail = x[k:]
+    d = sum(x) // k
+    for _ in range(d + 1):  # the degree drops every step
+        s = sorted(x, reverse=True)
+        tail = s[k:]
+        r = sum(tail) - 2 * d
+        head = [c + r for c in s[:k]]
+        d += r
+        if steps is not None:
+            steps.append((tuple(x), tuple(s), r, d))
         hi = max(head[0], tail[0]) if tail else head[0]
         lo = min(head[-1], tail[-1]) if tail else head[-1]
         if hi <= 0:
-            return head.count(-1) == k and all(c in (0, -1) for c in head) and all(
-                c == 0 for c in tail
-            )
-        if lo < 0 or hi > d_new:
-            return False
-        merged = sorted(head + list(tail), reverse=True)
-        x = tuple(merged)
+            if head[0] == head[-1] == -1 and (not tail or tail[-1] == 0):
+                return TerminalKind.REACHED_MINUS_BETA
+            return TerminalKind.ALL_NONPOSITIVE
+        if lo < 0 or hi > d:
+            return TerminalKind.RANGE_VIOLATION
+        x = head + tail
+    raise RuntimeError("reduction failed to terminate")
 
 
 def reduce_trace(v: LatticeVector) -> ReductionTrace:
@@ -217,7 +188,8 @@ def reduce_trace(v: LatticeVector) -> ReductionTrace:
     qv = sum(c * c for c in v.x) + (2 - k) * d * d
     if qv != 2:
         raise ContractError(f"reduce_trace requires q = 2, got q = {qv}")
-    terminal, raw_steps = _reduce_sorted(k, v.x)
+    raw_steps: list[_StepRecord] = []
+    terminal = _walk(k, v.x, raw_steps)
     steps = tuple(
         ReductionStep(
             before_sort=LatticeVector(v.params, before),

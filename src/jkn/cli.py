@@ -2,25 +2,28 @@
 
 Subcommands: check, reduce, orbits, tables, generic, weights, families,
 manin, profile, convert, word, selftest.  Every subcommand accepts
---format plain|json (csv additionally for the tabular ones), --threads,
-and --time-limit.  Exit codes: 0 success (for check: real root), 1 almost
+--format plain|json (csv additionally for the tabular ones) and
+--time-limit.  Exit codes: 0 success (for check: real root), 1 almost
 real, 2 any other classification, 3 usage or contract errors, 4 time or
-resource limits.
+resource limits, 5 an unexpected internal error (traceback on stderr).
 
-Vectors are comma-separated; an argument of the form @file pulls one
-argument per line from the file, so `check 3 8 @vectors.txt` classifies a
-batch.  Output is accumulated and written once at the end.
+Vectors are comma-separated and may start with '-'; an argument of the
+form @file pulls one argument per line from the file, so
+`check 3 8 @vectors.txt` classifies a batch.  Output is accumulated and
+written once at the end.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
-import os
+import re
 import signal
 import sys
+import traceback
 from typing import Optional, Sequence
 
 from . import golden
@@ -67,6 +70,11 @@ class _TimeLimit(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # read "-1,-1,-1,0" as a vector, as argparse reads "-1" as a number
+        self._negative_number_matcher = re.compile(r"^-\d+(,-?\d+)*$|^-\d*\.\d+$")
+
     def error(self, message: str):  # noqa: D102 - argparse hook
         raise _UsageError(message)
 
@@ -207,7 +215,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 def _cmd_orbits(args: argparse.Namespace) -> int:
     params = _parse_params(args)
-    orbits = enumerate_orbits(params, args.degree, threads=args.threads)
+    orbits = enumerate_orbits(params, args.degree)
     if args.format == "json":
         _emit(
             json.dumps(
@@ -251,9 +259,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     if args.max < 1:
         raise _UsageError("--max must be >= 1")
     counter = count_real_roots if args.kind == "real" else count_almost_real_roots
-    counts = [
-        counter(params, d, threads=args.threads) for d in range(1, args.max + 1)
-    ]
+    counts = [counter(params, d) for d in range(1, args.max + 1)]
     if args.format == "json":
         _emit(
             json.dumps(
@@ -287,7 +293,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 def _cmd_generic(args: argparse.Namespace) -> int:
     if args.degree < 1:
         raise _UsageError("--degree must be >= 1")
-    orbits = enumerate_generic(args.degree, threads=args.threads)
+    orbits = enumerate_generic(args.degree)
     if args.format == "json":
         _emit(
             json.dumps(
@@ -456,26 +462,23 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
             failures += 1
             lines.append(f"MISMATCH: {label}{': ' + detail if detail else ''}")
 
-    for (k, n), expected in sorted(golden.REAL_COUNTS.items()):
-        if k > 5:
-            continue
-        params = SystemParams(k, n)
-        got = tuple(
-            count_real_roots(params, d, threads=args.threads)
-            for d in range(1, 8)
-        )
-        report(f"real root counts {params}", got == expected, f"{got} != {expected}")
-    for (k, n), expected in sorted(golden.ALMOST_COUNTS.items()):
-        if k > 5:
-            continue
-        params = SystemParams(k, n)
-        got = tuple(
-            count_almost_real_roots(params, d, threads=args.threads)
-            for d in range(1, 8)
-        )
-        report(
-            f"almost real root counts {params}", got == expected, f"{got} != {expected}"
-        )
+    # each orbit tuple and generic list is enumerated once for the run
+    orbits = functools.cache(enumerate_orbits)
+    generic = functools.cache(enumerate_generic)
+
+    def orbit_count(params: SystemParams, d: int, kind: OrbitKind) -> int:
+        return sum(oc.orbit_size for oc in orbits(params, d) if oc.kind is kind)
+
+    for table, kind, label in (
+        (golden.REAL_COUNTS, OrbitKind.REAL, "real root counts"),
+        (golden.ALMOST_COUNTS, OrbitKind.ALMOST_REAL, "almost real root counts"),
+    ):
+        for (k, n), expected in sorted(table.items()):
+            if k > 5:
+                continue
+            params = SystemParams(k, n)
+            got = tuple(orbit_count(params, d, kind) for d in range(1, 8))
+            report(f"{label} {params}", got == expected, f"{got} != {expected}")
     for key, (real_row, almost_row) in sorted(
         golden.ORBIT_COUNTS.items(), key=str
     ):
@@ -485,7 +488,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
             got_real = []
             got_almost = []
             for d in range(1, max_d + 1):
-                generics = enumerate_generic(d, threads=args.threads)
+                generics = generic(d)
                 if k is not None:
                     generics = tuple(
                         g for g in generics if g.core_params.k <= k
@@ -507,17 +510,17 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
             got_real = []
             got_almost = []
             for d in range(1, 12):
-                orbits = enumerate_orbits(params, d, threads=args.threads)
+                classes = orbits(params, d)
                 got_real.append(
-                    sum(1 for oc in orbits if oc.kind is OrbitKind.REAL)
+                    sum(1 for oc in classes if oc.kind is OrbitKind.REAL)
                 )
                 got_almost.append(
-                    sum(1 for oc in orbits if oc.kind is OrbitKind.ALMOST_REAL)
+                    sum(1 for oc in classes if oc.kind is OrbitKind.ALMOST_REAL)
                 )
             ok = tuple(got_real) == real_row and tuple(got_almost) == almost_row
             report(f"orbit counts {params}", ok, f"{got_real}/{got_almost}")
     for d in range(1, 6):
-        generics = enumerate_generic(d, threads=args.threads)
+        generics = generic(d)
         got_real = sorted(
             (g.core, g.core_params.k)
             for g in generics
@@ -556,12 +559,6 @@ def _flush() -> None:
 def _add_common(sub: argparse.ArgumentParser, csv_ok: bool = False) -> None:
     choices = ["plain", "json", "csv"] if csv_ok else ["plain", "json"]
     sub.add_argument("--format", choices=choices, default="plain")
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="enumeration parallelism (default: machine parallelism)",
-    )
     sub.add_argument(
         "--time-limit",
         type=float,
@@ -708,6 +705,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _flush()
         sys.stderr.write(f"error: {exc}\n")
         return 4
+    except Exception:
+        _flush()
+        traceback.print_exc()
+        return 5
     finally:
         if use_alarm:
             signal.setitimer(signal.ITIMER_REAL, 0)

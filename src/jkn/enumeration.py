@@ -18,10 +18,9 @@ from __future__ import annotations
 import enum
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .classify import is_real_sorted_candidate
+from .classify import TerminalKind, _walk
 from .errors import ContractError
 from .families import minimal_support
 from .lattice import LatticeVector, SystemParams
@@ -136,112 +135,57 @@ def _search_suffix(
     """Extend a non-increasing prefix by `slots` entries with sum s, square sum t.
 
     Candidate values are tried in descending order so the output is
-    lexicographically descending.
+    lexicographically descending.  Once the sum is spent the rest are
+    zeros, so the recursion depth is the number of nonzero entries.
     """
-    if slots == 0:
-        if s == 0 and t == 0:
-            out.append(prefix)
+    if s == 0:
+        if t == 0:
+            out.append(prefix + (0,) * slots)
         return
-    for v in range(min(max_val, s), -1, -1):
+    for v in range(min(max_val, s), 0, -1):
         rem_s = s - v
         rem_t = t - v * v
         if rem_t < 0:
             continue
         m = slots - 1
-        if m == 0:
-            if rem_s == 0 and rem_t == 0:
-                out.append(prefix + (v,))
-            continue
         if rem_s > v * m:
             break  # even all-v entries cannot reach the sum; smaller v is worse
         if (rem_s - rem_t) % 2 != 0:
             continue  # sum and square sum always share parity
-        if rem_t < _min_square_sum(rem_s, m):
-            continue
-        if v > 0:
+        if rem_s > 0:
+            if rem_t < _min_square_sum(rem_s, m):
+                continue
             full, part = divmod(rem_s, v)
             if rem_t > full * v * v + part * part:
                 continue  # concentrating mass in v's is the square-sum maximum
-        elif rem_t > 0:
-            continue
         _search_suffix(prefix + (v,), m, v, rem_s, rem_t, out)
 
 
-def _candidate_tasks(
-    k: int, n: int, d: int
-) -> list[tuple[tuple[int, ...], int, int, int, int]]:
-    """Split the search space on the first up to two entries.
-
-    Returns (prefix, slots, max_val, s, t) tuples in lexicographic
-    descending order of prefix, so concatenating task outputs in task
-    order yields the globally sorted candidate list.
-    """
-    target_s = k * d
-    target_t = 2 + (k - 2) * d * d
-    if n == 1:
-        return [((), 1, d, target_s, target_t)]
-    tasks = []
-    for a in range(min(d, target_s), -1, -1):
-        for b in range(min(a, target_s - a), -1, -1):
-            tasks.append(
-                ((a, b), n - 2, b, target_s - a - b, target_t - a * a - b * b)
-            )
-    return tasks
-
-
-def _run_task(task: tuple) -> list[tuple[int, ...]]:
-    prefix, slots, max_val, s, t = task
-    out: list[tuple[int, ...]] = []
-    if s >= 0 and t >= 0:
-        _search_suffix(prefix, slots, max_val, s, t, out)
-    return out
-
-
-_orbit_cache: dict[tuple[SystemParams, int], tuple[OrbitClass, ...]] = {}
-
-
-def enumerate_orbits(
-    params: SystemParams, degree: int, threads: int = 1
-) -> tuple[OrbitClass, ...]:
+def enumerate_orbits(params: SystemParams, degree: int) -> tuple[OrbitClass, ...]:
     """All real and almost-real orbit classes of the given degree.
 
-    Sorted lexicographically descending by representative.  Results are
-    cached per (params, degree); the thread count only affects how the
-    search space partitions are dispatched, never the output.
+    Sorted lexicographically descending by representative.  Nothing is
+    cached: a caller that needs the result twice keeps it.
     """
     if degree < 1:
         raise ContractError(f"enumerate_orbits requires degree >= 1, got {degree}")
-    key = (params, degree)
-    cached = _orbit_cache.get(key)
-    if cached is not None:
-        return cached
-    k, n = params.k, params.n
-    tasks = _candidate_tasks(k, n, degree)
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(_run_task, tasks))
-    else:
-        chunks = [_run_task(t) for t in tasks]
+    k, d = params.k, degree
+    candidates: list[tuple[int, ...]] = []
+    _search_suffix((), params.n, d, k * d, 2 + (k - 2) * d * d, candidates)
     classes = []
-    for chunk in chunks:
-        for x in chunk:
-            kind = (
-                OrbitKind.REAL
-                if is_real_sorted_candidate(k, x)
-                else OrbitKind.ALMOST_REAL
-            )
-            rep = LatticeVector(params, x)
-            counts = Counter(x)
-            signature = tuple(sorted(counts.items(), reverse=True))
-            classes.append(
-                OrbitClass(rep, degree, kind, orbit_size(rep), signature)
-            )
-    result = tuple(classes)
-    _orbit_cache[key] = result
-    return result
+    for x in candidates:
+        kind = (
+            OrbitKind.REAL
+            if _walk(k, x) is TerminalKind.REACHED_MINUS_BETA
+            else OrbitKind.ALMOST_REAL
+        )
+        rep = LatticeVector(params, x)
+        signature = tuple(sorted(Counter(x).items(), reverse=True))
+        classes.append(OrbitClass(rep, d, kind, orbit_size(rep), signature))
+    return tuple(classes)
 
 
-def count_real_roots(params: SystemParams, degree: int, threads: int = 1) -> int:
+def count_real_roots(params: SystemParams, degree: int) -> int:
     """Number of positive real roots of the given degree."""
     if degree < 0:
         raise ContractError(f"count_real_roots requires degree >= 0, got {degree}")
@@ -249,14 +193,12 @@ def count_real_roots(params: SystemParams, degree: int, threads: int = 1) -> int
         return params.n * (params.n - 1) // 2
     return sum(
         oc.orbit_size
-        for oc in enumerate_orbits(params, degree, threads)
+        for oc in enumerate_orbits(params, degree)
         if oc.kind is OrbitKind.REAL
     )
 
 
-def count_almost_real_roots(
-    params: SystemParams, degree: int, threads: int = 1
-) -> int:
+def count_almost_real_roots(params: SystemParams, degree: int) -> int:
     """Number of positive almost-real roots of the given degree."""
     if degree < 1:
         raise ContractError(
@@ -264,12 +206,12 @@ def count_almost_real_roots(
         )
     return sum(
         oc.orbit_size
-        for oc in enumerate_orbits(params, degree, threads)
+        for oc in enumerate_orbits(params, degree)
         if oc.kind is OrbitKind.ALMOST_REAL
     )
 
 
-def enumerate_generic(degree: int, threads: int = 1) -> tuple[GenericOrbit, ...]:
+def enumerate_generic(degree: int) -> tuple[GenericOrbit, ...]:
     """All generic orbits of the given degree.
 
     Every orbit's minimal-support core lives in J(2d-1, 4d-2), where each
@@ -281,7 +223,7 @@ def enumerate_generic(degree: int, threads: int = 1) -> tuple[GenericOrbit, ...]
     d = degree
     host = SystemParams(2 * d - 1, 4 * d - 2)
     out = []
-    for oc in enumerate_orbits(host, d, threads):
+    for oc in enumerate_orbits(host, d):
         core_params, core = minimal_support(oc.representative)
         lead = 0
         while lead < len(core.x) and core.x[lead] == d:

@@ -11,7 +11,6 @@ classical E8 / del Pezzo tables.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -374,18 +373,13 @@ def fundamental_weights(params: SystemParams) -> tuple[WeightVector, ...]:
     return tuple(weights)
 
 
-def _distinct_permutations(entries: tuple[int, ...]):
-    seen = set()
-    for perm in itertools.permutations(entries):
-        if perm not in seen:
-            seen.add(perm)
-            yield perm
-
-
 def sum_of_positive_roots(params: SystemParams) -> LatticeVector:
     """Entrywise sum over every positive root of a finite-type system.
 
-    Equals twice the sum of the fundamental weights.
+    Equals twice the sum of the fundamental weights.  The degree-0 roots
+    e_j - e_i (i < j) put 2j - (n-1) at 0-based index j; a real orbit of
+    degree d has entries summing to kd, spread evenly over the coordinates
+    by the permutations, so it adds orbit_size * k * d / n to each.
     """
     if not is_finite_type(params):
         raise ContractError(
@@ -393,28 +387,26 @@ def sum_of_positive_roots(params: SystemParams) -> LatticeVector:
         )
     from .enumeration import OrbitKind, enumerate_orbits
 
-    n = params.n
-    total = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            # e_j - e_i with j > i (1-indexed: later +1): all degree-0 positives
-            total[j] += 1
-            total[i] -= 1
+    k, n = params.k, params.n
+    per_coordinate = 0
     d = 1
     while True:
-        real_orbits = [
-            oc
+        sizes = [
+            oc.orbit_size
             for oc in enumerate_orbits(params, d)
             if oc.kind is OrbitKind.REAL
         ]
-        if not real_orbits:
+        if not sizes:
             break
-        for oc in real_orbits:
-            for perm in _distinct_permutations(oc.representative.x):
-                for i, c in enumerate(perm):
-                    total[i] += c
+        for size in sizes:
+            share, rem = divmod(size * k * d, n)
+            if rem:
+                raise RuntimeError(f"a degree-{d} orbit of {params} is uneven")
+            per_coordinate += share
         d += 1
-    return LatticeVector(params, tuple(total))
+    return LatticeVector(
+        params, tuple(2 * j - (n - 1) + per_coordinate for j in range(n))
+    )
 
 
 # ---------------------------------------------------------------------------

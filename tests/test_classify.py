@@ -20,7 +20,7 @@ from jkn import (
     reduce_trace,
     vector_from_entries,
 )
-from jkn.classify import is_real_sorted_candidate
+from jkn.classify import TerminalKind, _walk
 
 from conftest import all_candidates, params_and_vector
 
@@ -106,9 +106,18 @@ def test_sorted_candidate_agrees_with_classify():
     for k, n, d in [(3, 6, 2), (3, 7, 3), (4, 9, 2), (4, 10, 4)]:
         p = SystemParams(k, n)
         for t in all_candidates(k, n, d):
-            s = tuple(sorted(t, reverse=True))
-            want = classify_entries(p, s).kind is Kind.REAL_POSITIVE
-            assert is_real_sorted_candidate(k, s) == want
+            c = classify_entries(p, t)
+            for x in (t, tuple(sorted(t, reverse=True))):
+                steps = []
+                terminal = _walk(k, x, steps)
+                assert _walk(k, x) is terminal
+                assert terminal is c.trace.terminal
+                assert (terminal is TerminalKind.REACHED_MINUS_BETA) == (
+                    c.kind is Kind.REAL_POSITIVE
+                )
+                assert [st[1:] for st in steps] == [
+                    (st.sorted.x, st.r, st.degree_after) for st in c.trace.steps
+                ]
 
 
 @given(params_and_vector())

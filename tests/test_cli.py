@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import jkn.cli
 from jkn.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -52,6 +53,21 @@ def test_check_batch_from_file(capsys, tmp_path):
     code, out = run(capsys, "check", "3", "8", f"@{batch}")
     assert code == 0
     assert out.count("real") >= 2
+
+
+def test_check_vector_with_leading_minus(capsys):
+    code, out = run(capsys, "check", "3", "8", "-1,-1,-1,0,0,0,0,0")
+    assert code == 0
+    assert "real negative, degree -1" in out
+
+
+def test_check_batch_file_line_with_leading_minus(capsys, tmp_path):
+    batch = tmp_path / "vectors.txt"
+    batch.write_text("-1,-1,-1,0,0,0,0,0\n2,1,1,1,1,1,1,1\n")
+    code, out = run(capsys, "check", "3", "8", f"@{batch}")
+    assert code == 0
+    assert "real negative, degree -1" in out
+    assert "real positive, degree 3" in out
 
 
 def test_check_json(capsys):
@@ -176,10 +192,26 @@ def test_reduce_json(capsys):
     assert len(data["steps"]) == 1
 
 
+def test_orbits_large_n(capsys):
+    code, out = run(capsys, "orbits", "3", "1500", "--degree", "2")
+    assert code == 0
+    assert out.splitlines()[-1] == "1 real, 0 almost real"
+
+
+def test_internal_error_exit_5(capsys, monkeypatch):
+    def broken(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(jkn.cli, "enumerate_orbits", broken)
+    code = main(["orbits", "3", "9", "--degree", "3"])
+    assert code == 5
+    assert "RecursionError" in capsys.readouterr().err
+
+
 def test_time_limit_exit_4():
-    # run in a fresh interpreter: within this process earlier tests have
-    # warmed the enumeration caches, which would let the selftest finish
-    # inside any usable time limit
+    # check the status a real process exits with; nothing is cached
+    # between calls, so the selftest recomputes every table and cannot
+    # finish inside the limit
     proc = subprocess.run(
         [
             sys.executable,

@@ -102,10 +102,13 @@ def test_orbit_invariants():
         assert oc.degree == 4
 
 
-def test_threads_agree():
-    p = SystemParams(5, 13)
-    assert enumerate_orbits(p, 4) == enumerate_orbits(p, 4, threads=4)
-    assert count_real_roots(p, 5) == count_real_roots(p, 5, threads=3)
+def test_large_n_does_not_recurse_per_coordinate():
+    orbits = enumerate_orbits(SystemParams(3, 1500), 2)
+    assert len(orbits) == 1
+    oc = orbits[0]
+    assert oc.kind is OrbitKind.REAL
+    assert oc.representative.x == (1,) * 6 + (0,) * 1494
+    assert oc.orbit_size == math.comb(1500, 6)
 
 
 def test_degree_preconditions():

@@ -1,6 +1,8 @@
 """End-to-end command-line behavior: output text, formats, exit codes."""
 
 import json
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,12 +13,36 @@ import jkn.cli
 from jkn.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
+
+
+def readme_transcripts():
+    """(argv, stdout) for every `$ jkn` line in README's console blocks.
+
+    The output is every line up to the next blank line or prompt.  Blocks
+    with an elided part are skipped.
+    """
+    cases = []
+    for block in re.findall(r"```console\n(.*?)```", README.read_text("utf-8"), re.S):
+        if "…" in block:
+            continue
+        for command, output in re.findall(
+            r"^\$ jkn (.*)\n((?:[^$\n].*\n)*)", block, re.M
+        ):
+            cases.append(pytest.param(shlex.split(command), output, id=command))
+    return cases
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+@pytest.mark.parametrize("argv, expected", readme_transcripts())
+def test_readme_transcript(capsys, argv, expected):
+    main(argv)
+    assert capsys.readouterr().out == expected
 
 
 def test_check_real(capsys):

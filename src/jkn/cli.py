@@ -358,13 +358,10 @@ def _cmd_word(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> tuple[int, str]:
-    lines: list[str] = []
+    checks: list[dict] = []
 
     def report(label: str, ok: bool, detail: str = "") -> None:
-        if ok:
-            lines.append(f"ok: {label}")
-        else:
-            lines.append(f"MISMATCH: {label}{': ' + detail if detail else ''}")
+        checks.append({"label": label, "ok": ok, "detail": "" if ok else detail})
 
     # each orbit tuple and generic list is enumerated once for the run
     orbits = functools.cache(enumerate_orbits)
@@ -407,11 +404,17 @@ def _cmd_selftest(args: argparse.Namespace) -> tuple[int, str]:
             sorted(golden.GENERIC_ALMOST_CORES[d]),
         ]
         report(f"generic orbit cores, degree {d}", got_cores == expected_cores)
-    failures = sum(1 for line in lines if line.startswith("MISMATCH"))
+    lines = [
+        f"{'ok' if c['ok'] else 'MISMATCH'}: {c['label']}"
+        f"{': ' + c['detail'] if c['detail'] else ''}"
+        for c in checks
+    ]
+    failures = sum(1 for c in checks if not c["ok"])
     lines.append(
         f"selftest {'passed' if failures == 0 else f'failed ({failures} mismatches)'}"
     )
-    return (0 if failures == 0 else 1), "\n".join(lines)
+    obj = {"checks": checks, "passed": failures == 0}
+    return (0 if failures == 0 else 1), _render(args, obj, "\n".join(lines))
 
 
 def _add(

@@ -17,13 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ContractError
-from .lattice import (
-    LatticeVector,
-    SystemParams,
-    basis_matrix,
-    cartan_matrix,
-    degree,
-)
+from .lattice import LatticeVector, SystemParams, degree
 
 __all__ = [
     "WeightVector",
@@ -320,29 +314,21 @@ def _fraction_str(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-def _invert_exact(matrix: list[list[Fraction]]) -> Optional[list[list[Fraction]]]:
-    """Gauss-Jordan inverse over Fractions; None when singular."""
-    n = len(matrix)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [c * inv for c in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def fundamental_weights(params: SystemParams) -> tuple[WeightVector, ...]:
     """Dual basis to the simple roots, branch root's weight first.
 
     Exact rationals; only defined when the symmetric bilinear form is
-    positive definite (finite type), where the Cartan matrix is invertible.
+    positive definite (finite type).  The e-Gram matrix I - ((k-2)/k^2) J
+    is a rank-one perturbation of I, so Sherman-Morrison inverts it in
+    closed form and, with M = k^2 - n(k-2) (the definiteness margin) and
+    1-indexed coordinates i,
+
+        omega_beta      = (k/M) (1, ..., 1),
+        omega_{alpha_j} : x_i = 2j/M - [i <= j]          for 1 <= j <= k-1,
+        omega_{alpha_j} : x_i = (k-2)(n-j)/M + [i > j]   for j >= k.
+
+    root_coeffs applies the to_root_basis formula to each weight, so the
+    whole call is O(n^2) Fraction operations, the size of its output.
     """
     margin = definiteness_margin(params)
     if margin < 0:
@@ -354,23 +340,30 @@ def fundamental_weights(params: SystemParams) -> tuple[WeightVector, ...]:
         raise ContractError(
             f"{params} is of affine type: the Cartan matrix is singular"
         )
-    cartan = cartan_matrix(params)
-    inv = _invert_exact(
-        [[Fraction(c) for c in row] for row in cartan.entries]
-    )
-    if inv is None:  # margin > 0 guarantees invertibility
-        raise ContractError(f"Cartan matrix of {params} is singular")
-    basis = basis_matrix(params)
-    n = params.n
-    weights = []
-    for col in range(n):
-        coeffs = tuple(inv[row][col] for row in range(n))
-        coords = tuple(
-            sum(Fraction(basis[i][j]) * coeffs[j] for j in range(n))
-            for i in range(n)
-        )
-        weights.append(WeightVector(params, coords, coeffs))
+    k, n = params.k, params.n
+    weights = [_weight(params, (Fraction(k, margin),) * n)]
+    for j in range(1, n):
+        if j < k:
+            c = Fraction(2 * j, margin)
+            coords = (c - 1,) * j + (c,) * (n - j)
+        else:
+            c = Fraction((k - 2) * (n - j), margin)
+            coords = (c,) * j + (c + 1,) * (n - j)
+        weights.append(_weight(params, coords))
     return tuple(weights)
+
+
+def _weight(params: SystemParams, coords: tuple[Fraction, ...]) -> WeightVector:
+    """coords with its simple-root coefficients, as in to_root_basis."""
+    k = params.k
+    total = sum(coords)
+    d = total / k
+    coeffs = [d]
+    prefix = Fraction(0)
+    for j in range(1, params.n):
+        prefix += coords[j - 1]
+        coeffs.append(j * d - prefix if j < k else total - prefix)
+    return WeightVector(params, coords, tuple(coeffs))
 
 
 def sum_of_positive_roots(params: SystemParams) -> LatticeVector:

@@ -257,3 +257,13 @@ def test_selftest_passes(capsys):
     assert code == 0
     assert out.splitlines()[-1] == "selftest passed"
     assert "MISMATCH" not in out
+
+
+def test_selftest_json(capsys):
+    code, out = run(capsys, "selftest", "--format", "json")
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["passed"] is True
+    assert len(blob["checks"]) == 71
+    assert all(set(c) == {"label", "ok", "detail"} for c in blob["checks"])
+    assert all(c["ok"] for c in blob["checks"])

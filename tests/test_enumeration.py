@@ -82,6 +82,18 @@ def test_census_cross_check():
         assert almost == count_almost_real_roots(p, d)
 
 
+@pytest.mark.parametrize("k,n", [(3, 10), (3, 11), (4, 11), (2, 9), (3, 12)])
+def test_duality_preserves_counts(k, n):
+    """J(k,n) and J(n-k,n) have equal real and almost-real counts per degree."""
+    for d in range(1, 9):
+        assert count_real_roots(SystemParams(k, n), d) == count_real_roots(
+            SystemParams(n - k, n), d
+        ), d
+        assert count_almost_real_roots(
+            SystemParams(k, n), d
+        ) == count_almost_real_roots(SystemParams(n - k, n), d), d
+
+
 def test_representatives_are_sorted_and_ordered():
     orbits = enumerate_orbits(SystemParams(4, 11), 4)
     reps = [oc.representative.x for oc in orbits]

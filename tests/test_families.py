@@ -14,6 +14,7 @@ from jkn import (
     affine_family,
     basis_matrix,
     beta_vector,
+    cartan_matrix,
     classify,
     definiteness_margin,
     degree,
@@ -312,19 +313,22 @@ def test_weight_plain_strings():
 
 def test_weight_duality():
     """B(weight_i, basis_j) is the Kronecker delta."""
-    for k, cap in ((2, 10), (3, 8)):
-        for n in range(k + 1, cap + 1):
-            p = SystemParams(k, n)
-            ws = fundamental_weights(p)
-            basis = [beta_vector(p)] + [simple_root(p, i) for i in range(1, n)]
-            for i, w in enumerate(ws):
-                dw = sum(w.coords) / k
-                for j, b in enumerate(basis):
-                    db = degree(b)
-                    val = sum(
-                        w.coords[t] * b.x[t] for t in range(n)
-                    ) + (2 - k) * dw * db
-                    assert val == (1 if i == j else 0), (p, i, j)
+    systems = [
+        SystemParams(k, n)
+        for k, cap in ((2, 10), (3, 8))
+        for n in range(k + 1, cap + 1)
+    ]
+    systems += [SystemParams(k, 40) for k in (1, 2, 38, 39)]
+    for p in systems:
+        k = p.k
+        basis = [beta_vector(p)] + [simple_root(p, i) for i in range(1, p.n)]
+        for i, w in enumerate(fundamental_weights(p)):
+            dw = sum(w.coords) / k
+            for j, b in enumerate(basis):
+                val = sum(w.coords[t] * c for t, c in enumerate(b.x) if c) + (
+                    2 - k
+                ) * dw * degree(b)
+                assert val == (1 if i == j else 0), (p, i, j)
 
 
 def test_weight_root_coefficients_reconstruct_coords():
@@ -335,6 +339,58 @@ def test_weight_root_coefficients_reconstruct_coords():
             assert w.coords[i] == sum(
                 F(m[i][j]) * w.root_coeffs[j] for j in range(p.n)
             )
+
+
+def _invert_exact(matrix):
+    """Gauss-Jordan inverse over Fractions; None when singular."""
+    n = len(matrix)
+    aug = [row[:] + [F(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = F(1) / aug[col][col]
+        aug[col] = [c * inv for c in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def _cartan_inverse_weights(p):
+    """(coords, root_coeffs) per weight: inverse Cartan columns mapped by C."""
+    inv = _invert_exact([[F(c) for c in row] for row in cartan_matrix(p).entries])
+    basis = basis_matrix(p)
+    n = p.n
+    weights = []
+    for col in range(n):
+        coeffs = tuple(inv[row][col] for row in range(n))
+        coords = tuple(
+            sum(F(basis[i][j]) * coeffs[j] for j in range(n)) for i in range(n)
+        )
+        weights.append((coords, coeffs))
+    return weights
+
+
+def _finite_systems(max_n):
+    return [
+        SystemParams(k, n)
+        for n in range(2, max_n + 1)
+        for k in range(1, n)
+        if is_finite_type(SystemParams(k, n))
+    ]
+
+
+def test_weights_match_cartan_inverse():
+    """The closed form equals Gauss-Jordan on the Cartan matrix, exactly."""
+    systems = _finite_systems(12) + [SystemParams(2, 20), SystemParams(18, 20)]
+    for p in systems:
+        got = [(w.coords, w.root_coeffs) for w in fundamental_weights(p)]
+        assert got == _cartan_inverse_weights(p), p
+        for w in fundamental_weights(p):
+            assert all(type(c) is F for c in w.coords + w.root_coeffs), p
 
 
 def test_weights_reject_non_finite():
@@ -362,8 +418,8 @@ def test_sum_of_positive_roots_frozen():
 
 
 def test_sum_of_positive_roots_is_twice_weight_sum():
-    for k, n in POSITIVE_ROOT_SUMS:
-        p = SystemParams(k, n)
+    for p in _finite_systems(10):
+        n = p.n
         ws = fundamental_weights(p)
         double = tuple(2 * sum(w.coords[i] for w in ws) for i in range(n))
         assert tuple(map(F, sum_of_positive_roots(p).x)) == double

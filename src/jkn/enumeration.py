@@ -5,6 +5,11 @@ counting roots of a fixed degree d reduces to listing non-increasing
 representatives x with entries in [0, d], sum k*d and q(x) = 2, classifying
 each, and weighting by the orbit size n! / prod(multiplicities!).
 
+The search picks the multiplicities (m_d, ..., m_1, m_0) of a
+representative's entries, recursing only on a nonzero one, so it is at most
+min(d, n) + 1 calls deep; the signature, representative and orbit size all
+come from those multiplicities.
+
 Every orbit of degree d, over all (k, n) at once, is captured by a finite
 list of generic orbits: the representative stripped to minimal support is a
 vector of J(k_min, n_min) with k_min <= 2d-1 and n_min - k_min <= 2d-1, so
@@ -109,79 +114,82 @@ class GenericOrbit:
         }
 
 
-def orbit_size(representative: LatticeVector) -> int:
-    """Number of distinct permutations of the representative's entries."""
-    n = representative.params.n
+def _multinomial(n: int, multiplicities) -> int:
+    """n! / prod(m!): the distinct arrangements of a multiset of size n."""
     size = math.factorial(n)
-    for mult in Counter(representative.x).values():
+    for mult in multiplicities:
         size //= math.factorial(mult)
     return size
 
 
-def _min_square_sum(total: int, slots: int) -> int:
-    """Least possible sum of squares of `slots` nonnegative ints summing to total."""
-    a, r = divmod(total, slots)
-    return (slots - r) * a * a + r * (a + 1) * (a + 1)
+def orbit_size(representative: LatticeVector) -> int:
+    """Number of distinct permutations of the representative's entries."""
+    return _multinomial(representative.params.n, Counter(representative.x).values())
 
 
-def _search_suffix(
-    prefix: tuple[int, ...],
-    slots: int,
-    max_val: int,
-    s: int,
-    t: int,
-    out: list[tuple[int, ...]],
-) -> None:
-    """Extend a non-increasing prefix by `slots` entries with sum s, square sum t.
+def _fits(w: int, slots: int, s: int, t: int) -> bool:
+    """Necessary for `slots` entries in [0, w] to have sum s, square sum t:
+    Cauchy-Schwarz, and t at most the square sum of s piled into w's."""
+    full, part = divmod(s, w) if w else (0, 0)
+    return s * s <= slots * t and t <= full * w * w + part * part
 
-    Candidate values are tried in descending order so the output is
-    lexicographically descending.  Once the sum is spent the rest are
-    zeros, so the recursion depth is the number of nonzero entries.
+
+def _search(v: int, slots: int, s: int, t: int, sig: tuple, out: list) -> None:
+    """Extend a signature ((d, m_d), ..., (v+1, m_{v+1})) by m_v, ..., m_0.
+
+    The `slots` entries left lie in [0, v], with sum s and square sum t.
+    m_v runs from high to low, so representatives come out lexicographically
+    descending.  The entries after m_v are each some c <= v-1, so
+    c <= c^2 <= (v-1)*c, their sum is at most (v-1)*slots, and `_fits`
+    holds.  m_v = 0 moves on to v-1 in place rather than recursing.
     """
-    if s == 0:
-        if t == 0:
-            out.append(prefix + (0,) * slots)
+    if t < s:
         return
-    for v in range(min(max_val, s), 0, -1):
-        rem_s = s - v
-        rem_t = t - v * v
-        if rem_t < 0:
-            continue
-        m = slots - 1
-        if rem_s > v * m:
-            break  # even all-v entries cannot reach the sum; smaller v is worse
-        if (rem_s - rem_t) % 2 != 0:
-            continue  # sum and square sum always share parity
-        if rem_s > 0:
-            if rem_t < _min_square_sum(rem_s, m):
-                continue
-            full, part = divmod(rem_s, v)
-            if rem_t > full * v * v + part * part:
-                continue  # concentrating mass in v's is the square-sum maximum
-        _search_suffix(prefix + (v,), m, v, rem_s, rem_t, out)
+    # every entry c has c*(c-1) <= t - s, which caps the largest
+    v = min(v, (1 + math.isqrt(1 + 4 * (t - s))) // 2)
+    while v:
+        w = v - 1
+        # left after m copies: s' = s - m*v, t' = t - m*v^2, slots' = slots - m;
+        # s' <= w*slots' and t' <= w*s' bound m below, s' <= t' above
+        hi = min(slots, s // v, t // (v * v))
+        if w:
+            hi = min(hi, (t - s) // (v * w))
+        lo = max(0, s - w * slots, -((w * s - t) // v))
+        for m in range(hi, max(lo, 1) - 1, -1):
+            rest, s2, t2 = slots - m, s - m * v, t - m * v * v
+            if _fits(w, rest, s2, t2):
+                _search(w, rest, s2, t2, sig + ((v, m),), out)
+        if lo or hi < 0 or not _fits(w, slots, s, t):
+            return
+        v = w
+    out.append(sig + ((0, slots),) if slots else sig)
 
 
 def enumerate_orbits(params: SystemParams, degree: int) -> tuple[OrbitClass, ...]:
     """All real and almost-real orbit classes of the given degree.
 
-    Sorted lexicographically descending by representative.  Nothing is
-    cached: a caller that needs the result twice keeps it.
+    One search over the multiplicities (m_d, ..., m_0), at most
+    min(d, n) + 1 calls deep, gives each multiset signature, and from it the
+    representative and its orbit size n! / prod(m_v!).  Sorted
+    lexicographically descending by representative.  Nothing is cached: a
+    caller that needs the result twice keeps it.
     """
     if degree < 1:
         raise ContractError(f"enumerate_orbits requires degree >= 1, got {degree}")
     k, d = params.k, degree
-    candidates: list[tuple[int, ...]] = []
-    _search_suffix((), params.n, d, k * d, 2 + (k - 2) * d * d, candidates)
+    found: list[tuple[tuple[int, int], ...]] = []
+    _search(d, params.n, k * d, 2 + (k - 2) * d * d, (), found)
     classes = []
-    for x in candidates:
+    for signature in found:
+        x = tuple(c for c, m in signature for _ in range(m))
         kind = (
             OrbitKind.REAL
             if _walk(k, x) is TerminalKind.REACHED_MINUS_BETA
             else OrbitKind.ALMOST_REAL
         )
+        size = _multinomial(params.n, (m for _, m in signature))
         rep = LatticeVector(params, x)
-        signature = tuple(sorted(Counter(x).items(), reverse=True))
-        classes.append(OrbitClass(rep, d, kind, orbit_size(rep), signature))
+        classes.append(OrbitClass(rep, d, kind, size, signature))
     return tuple(classes)
 
 
@@ -225,16 +233,6 @@ def enumerate_generic(degree: int) -> tuple[GenericOrbit, ...]:
     out = []
     for oc in enumerate_orbits(host, d):
         core_params, core = minimal_support(oc.representative)
-        lead = 0
-        while lead < len(core.x) and core.x[lead] == d:
-            lead += 1
-        out.append(
-            GenericOrbit(
-                core=core.x,
-                core_params=core_params,
-                d_multiplicity_offset=core_params.k - lead,
-                degree=d,
-                kind=oc.kind,
-            )
-        )
+        lead = dict(oc.multiset_signature).get(d, 0) - (host.k - core_params.k)
+        out.append(GenericOrbit(core.x, core_params, core_params.k - lead, d, oc.kind))
     return tuple(out)

@@ -218,10 +218,20 @@ def test_reduce_json(capsys):
     assert len(data["steps"]) == 1
 
 
-def test_orbits_large_n(capsys):
-    code, out = run(capsys, "orbits", "3", "1500", "--degree", "2")
+@pytest.mark.parametrize("k,n,d", [(3, 1500, 2), (1000, 1001, 1)])
+def test_orbits_large_n(capsys, k, n, d):
+    code, out = run(capsys, "orbits", str(k), str(n), "--degree", str(d))
     assert code == 0
     assert out.splitlines()[-1] == "1 real, 0 almost real"
+
+
+@pytest.mark.parametrize(
+    "k,n,d,summary", [(3, 5, 3000, "0 real"), (3, 9, 1000, "1 real")]
+)
+def test_orbits_high_degree(capsys, k, n, d, summary):
+    code, out = run(capsys, "orbits", str(k), str(n), "--degree", str(d))
+    assert code == 0
+    assert out.splitlines()[-1] == f"{summary}, 0 almost real"
 
 
 def test_internal_error_exit_5(capsys, monkeypatch):

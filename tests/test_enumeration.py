@@ -1,9 +1,11 @@
 """Orbit enumeration, root counts, and the generic (large-system) view."""
 
 import math
+from collections import Counter
 
 import pytest
 
+from conftest import all_candidates
 from jkn import (
     ContractError,
     OrbitKind,
@@ -13,6 +15,7 @@ from jkn import (
     degree,
     enumerate_generic,
     enumerate_orbits,
+    extend,
     minimal_support,
     orbit_size,
     q,
@@ -114,13 +117,67 @@ def test_orbit_invariants():
         assert oc.degree == 4
 
 
+def test_orbits_match_exhaustive_candidates():
+    """The search finds every sorted candidate once, in descending order."""
+    for n in range(2, 9):
+        for k in range(1, n):
+            for d in range(1, 5):
+                candidates = all_candidates(k, n, d)
+                orbits = enumerate_orbits(SystemParams(k, n), d)
+                reps = [oc.representative.x for oc in orbits]
+                distinct = {tuple(sorted(t, reverse=True)) for t in candidates}
+                assert reps == sorted(distinct, reverse=True), (k, n, d)
+                assert sum(oc.orbit_size for oc in orbits) == len(candidates)
+                for oc in orbits:
+                    assert oc.multiset_signature == tuple(
+                        sorted(Counter(oc.representative.x).items(), reverse=True)
+                    )
+
+
+def test_extend_is_monotone():
+    """extend carries each orbit of J(k,n) to one of the same kind in
+    J(k,n+1) and in J(k+1,n+1), so orbit and root counts never drop."""
+    table = {
+        (k, n, d): enumerate_orbits(SystemParams(k, n), d)
+        for n in range(3, 14)
+        for k in range(1, n)
+        for d in range(1, 7)
+    }
+    for (k, n, d), small in table.items():
+        if n == 13:
+            continue
+        for grow_k, big_key in ((False, (k, n + 1, d)), (True, (k + 1, n + 1, d))):
+            big = table[big_key]
+            kinds = {oc.representative.x: oc.kind for oc in big}
+            for oc in small:
+                assert kinds[extend(oc.representative, grow_k).x] is oc.kind
+            for kind in OrbitKind:
+                mine = [oc.orbit_size for oc in small if oc.kind is kind]
+                theirs = [oc.orbit_size for oc in big if oc.kind is kind]
+                assert len(mine) <= len(theirs), ((k, n, d), big_key, kind)
+                assert sum(mine) <= sum(theirs), ((k, n, d), big_key, kind)
+
+
 def test_large_n_does_not_recurse_per_coordinate():
-    orbits = enumerate_orbits(SystemParams(3, 1500), 2)
-    assert len(orbits) == 1
-    oc = orbits[0]
+    # the search recurses once per distinct nonzero entry, not per coordinate
+    for k, n, d, ones in [(3, 1500, 2, 6), (1000, 1001, 1, 1000)]:
+        orbits = enumerate_orbits(SystemParams(k, n), d)
+        assert len(orbits) == 1
+        oc = orbits[0]
+        assert oc.kind is OrbitKind.REAL
+        assert oc.representative.x == (1,) * ones + (0,) * (n - ones)
+        assert oc.orbit_size == math.comb(n, ones)
+
+
+def test_high_degree_does_not_recurse_per_value():
+    # a zero multiplicity costs no call, and Cauchy-Schwarz rules out the
+    # finite type J(3,5) before any value is tried
+    assert enumerate_orbits(SystemParams(3, 5), 3000) == ()
+    (oc,) = enumerate_orbits(SystemParams(3, 9), 1000)
     assert oc.kind is OrbitKind.REAL
-    assert oc.representative.x == (1,) * 6 + (0,) * 1494
-    assert oc.orbit_size == math.comb(1500, 6)
+    assert oc.representative.x == (334,) * 3 + (333,) * 6
+    assert oc.multiset_signature == ((334, 3), (333, 6))
+    assert oc.orbit_size == math.comb(9, 3)
 
 
 def test_degree_preconditions():
@@ -160,11 +217,15 @@ def test_generic_cores_match_reference():
 
 
 def test_generic_core_bounds():
-    """Cores fit inside the host that is guaranteed to see every orbit."""
+    """Cores fit inside the host that is guaranteed to see every orbit, and
+    the offset is k_min minus the core's leading run of degree entries."""
     for d in range(1, 6):
         for g in enumerate_generic(d):
             assert g.core_params.k <= 2 * d - 1
             assert g.core_params.n - g.core_params.k <= 2 * d - 1
+            lead = g.core_params.k - g.d_multiplicity_offset
+            assert g.core[:lead] == (d,) * lead
+            assert g.core[lead : lead + 1] != (d,)
 
 
 def test_specialize_matches_direct_enumeration():

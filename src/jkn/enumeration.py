@@ -11,11 +11,11 @@ min(d, n) + 1 calls deep; the signature, representative and orbit size all
 come from those multiplicities.
 
 Every orbit of degree d, over all (k, n) at once, is captured by a finite
-list of generic orbits: the representative stripped to minimal support is a
+list of generic orbits: stripped to minimal support, a representative is a
 vector of J(k_min, n_min) with k_min <= 2d-1 and n_min - k_min <= 2d-1, so
-enumerating J(2d-1, 4d-2) once per degree finds them all.  A generic orbit
-re-specializes to any large enough (k, n) by restoring leading d's and
-trailing zeros.
+one search of J(2d-1, 4d-2) per degree finds them all, each core read off
+its signature.  A generic orbit re-specializes to any large enough (k, n)
+by restoring leading d's and trailing zeros.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 from .classify import TerminalKind, _walk
 from .errors import ContractError
-from .families import minimal_support
 from .lattice import LatticeVector, SystemParams
 
 __all__ = [
@@ -165,6 +164,16 @@ def _search(v: int, slots: int, s: int, t: int, sig: tuple, out: list) -> None:
     out.append(sig + ((0, slots),) if slots else sig)
 
 
+def _classes(k: int, n: int, d: int):
+    """Each orbit of degree d in J(k,n) as (signature, entries, kind), descending."""
+    found: list[tuple[tuple[int, int], ...]] = []
+    _search(d, n, k * d, 2 + (k - 2) * d * d, (), found)
+    for signature in found:
+        x = tuple(c for c, m in signature for _ in range(m))
+        real = _walk(k, x) is TerminalKind.REACHED_MINUS_BETA
+        yield signature, x, OrbitKind.REAL if real else OrbitKind.ALMOST_REAL
+
+
 def enumerate_orbits(params: SystemParams, degree: int) -> tuple[OrbitClass, ...]:
     """All real and almost-real orbit classes of the given degree.
 
@@ -176,20 +185,10 @@ def enumerate_orbits(params: SystemParams, degree: int) -> tuple[OrbitClass, ...
     """
     if degree < 1:
         raise ContractError(f"enumerate_orbits requires degree >= 1, got {degree}")
-    k, d = params.k, degree
-    found: list[tuple[tuple[int, int], ...]] = []
-    _search(d, params.n, k * d, 2 + (k - 2) * d * d, (), found)
     classes = []
-    for signature in found:
-        x = tuple(c for c, m in signature for _ in range(m))
-        kind = (
-            OrbitKind.REAL
-            if _walk(k, x) is TerminalKind.REACHED_MINUS_BETA
-            else OrbitKind.ALMOST_REAL
-        )
-        size = _multinomial(params.n, (m for _, m in signature))
-        rep = LatticeVector(params, x)
-        classes.append(OrbitClass(rep, d, kind, size, signature))
+    for sig, x, kind in _classes(params.k, params.n, degree):
+        size = _multinomial(params.n, (m for _, m in sig))
+        classes.append(OrbitClass(LatticeVector(params, x), degree, kind, size, sig))
     return tuple(classes)
 
 
@@ -222,17 +221,19 @@ def count_almost_real_roots(params: SystemParams, degree: int) -> int:
 def enumerate_generic(degree: int) -> tuple[GenericOrbit, ...]:
     """All generic orbits of the given degree.
 
-    Every orbit's minimal-support core lives in J(2d-1, 4d-2), where each
-    generic orbit appears exactly once, so one concrete enumeration there
-    covers every sufficiently large system.
+    Each appears once in the host J(2d-1, 4d-2); its core is read off the
+    host signature by dropping the m_0 zeros and min(m_d, 2d-2) leading d's,
+    as `minimal_support` strips a vector, and its offset is 2d-1 - m_d.
     """
     if degree < 1:
         raise ContractError(f"enumerate_generic requires degree >= 1, got {degree}")
     d = degree
-    host = SystemParams(2 * d - 1, 4 * d - 2)
+    k, n = 2 * d - 1, 4 * d - 2
     out = []
-    for oc in enumerate_orbits(host, d):
-        core_params, core = minimal_support(oc.representative)
-        lead = dict(oc.multiset_signature).get(d, 0) - (host.k - core_params.k)
-        out.append(GenericOrbit(core.x, core_params, core_params.k - lead, d, oc.kind))
+    for signature, x, kind in _classes(k, n, d):
+        mult = dict(signature)
+        strip = min(mult.get(d, 0), k - 1)
+        core = x[strip : n - mult.get(0, 0)]
+        core_params = SystemParams(k - strip, len(core))
+        out.append(GenericOrbit(core, core_params, k - mult.get(d, 0), d, kind))
     return tuple(out)

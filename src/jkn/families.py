@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .enumeration import OrbitKind, enumerate_orbits
 from .errors import ContractError
 from .lattice import LatticeVector, SystemParams, degree
 
@@ -378,8 +379,6 @@ def sum_of_positive_roots(params: SystemParams) -> LatticeVector:
         raise ContractError(
             f"{params} is not of finite type; the positive-root sum diverges"
         )
-    from .enumeration import OrbitKind, enumerate_orbits
-
     k, n = params.k, params.n
     per_coordinate = 0
     d = 1

@@ -180,6 +180,21 @@ def test_high_degree_does_not_recurse_per_value():
     assert oc.orbit_size == math.comb(9, 3)
 
 
+@pytest.mark.parametrize(
+    "k,n,period,total", [(3, 9, 3, 240), (4, 8, 2, 126), (6, 9, 3, 240)]
+)
+def test_affine_counts_are_periodic(k, n, period, total):
+    """The real roots of an affine system are a + m*delta with a a root of
+    the finite quotient (Kac, ch. 6), so their count per degree repeats with
+    period deg(delta), one period holds |E8| = 240 or |E7| = 126 roots, and
+    no degree has an almost-real root."""
+    p = SystemParams(k, n)
+    real = [count_real_roots(p, d) for d in range(1, 301)]
+    assert real[period:] == real[:-period]
+    assert {sum(real[i : i + period]) for i in range(301 - period)} == {total}
+    assert not any(count_almost_real_roots(p, d) for d in range(1, 301))
+
+
 def test_degree_preconditions():
     p = SystemParams(3, 9)
     with pytest.raises(ContractError):
@@ -217,29 +232,44 @@ def test_generic_cores_match_reference():
 
 
 def test_generic_core_bounds():
-    """Cores fit inside the host that is guaranteed to see every orbit, and
-    the offset is k_min minus the core's leading run of degree entries."""
-    for d in range(1, 6):
+    """Cores fit inside the host that is guaranteed to see every orbit, the
+    offset is k_min minus the core's leading run of degree entries, and the
+    core read off the host signature is what minimal_support strips the
+    host representative to."""
+    for d in range(1, 12):
+        host = SystemParams(2 * d - 1, 4 * d - 2)
         for g in enumerate_generic(d):
             assert g.core_params.k <= 2 * d - 1
             assert g.core_params.n - g.core_params.k <= 2 * d - 1
             lead = g.core_params.k - g.d_multiplicity_offset
             assert g.core[:lead] == (d,) * lead
             assert g.core[lead : lead + 1] != (d,)
+            assert minimal_support(g.specialize(host)) == (
+                g.core_params,
+                vector_from_entries(g.core_params, g.core),
+            )
 
 
 def test_specialize_matches_direct_enumeration():
-    for d in (1, 2, 3):
+    """Past the host J(2d-1, 4d-2) the orbits of degree d are stable: every
+    generic orbit fits, and specializing gives each orbit once, same kind."""
+    for d in range(1, 6):
         generic = enumerate_generic(d)
-        for k, n in [(2 * d - 1, 4 * d - 2), (2 * d, 4 * d), (2 * d + 1, 4 * d + 1)]:
+        for k, n in [
+            (2 * d - 1, 4 * d - 2),
+            (2 * d, 4 * d - 1),
+            (2 * d - 1, 4 * d - 1),
+            (2 * d + 1, 4 * d),
+            (2 * d, 4 * d),
+            (2 * d + 1, 4 * d + 1),
+        ]:
             p = SystemParams(k, n)
-            specialized = {
-                g.specialize(p).x for g in generic if g.fits(p)
-            }
-            direct = {
-                oc.representative.x for oc in enumerate_orbits(p, d)
-            }
-            assert specialized == direct
+            assert all(g.fits(p) for g in generic)
+            specialized = sorted((g.specialize(p).x, g.kind) for g in generic)
+            direct = sorted(
+                (oc.representative.x, oc.kind) for oc in enumerate_orbits(p, d)
+            )
+            assert specialized == direct, (d, k, n)
 
 
 def test_specialize_rejects_small_hosts():

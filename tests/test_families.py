@@ -115,6 +115,18 @@ def test_families_are_real_roots():
             assert classify(v).kind is Kind.REAL_POSITIVE
 
 
+def test_families_stay_real_on_deep_walks():
+    # each walk takes hundreds to thousands of steps
+    for v, d in [
+        (gamma(300, SystemParams(3, 602)), 300),
+        (delta_family(300, SystemParams(301, 602)), 300),
+        (affine_family(Series.A1, 1, 1000, SystemParams(3, 12)), 1 + 3 * 1000),
+        (affine_family(Series.B2, -1, 500, SystemParams(6, 9)), 3 * 500 - 2),
+    ]:
+        assert degree(v) == d
+        assert classify(v).kind is Kind.REAL_POSITIVE
+
+
 def test_family_inner_products():
     """The two families form the lattice-theoretic grid they should."""
     host = SystemParams(6, 15)

@@ -13,20 +13,16 @@ Degree-0 real roots are exactly the differences e_i - e_j and are handled
 structurally.  The classifier covers every input: zero, negative degrees
 (by sign mirror), non-lattice tuples (via :func:`classify_entries`), and
 vectors failing (1) or (2).
-
-:func:`bruteforce_positive_real_roots` is an independent oracle that knows
-nothing of the criterion above: it walks the Weyl orbit of beta by breadth
-first search and filters positives, so the two implementations can be
-checked against each other on small systems.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional, Sequence
 
-from .errors import ContractError, ResourceLimitError
+from .errors import ContractError
 from .lattice import LatticeVector, SystemParams
 
 __all__ = [
@@ -38,7 +34,6 @@ __all__ = [
     "classify",
     "classify_entries",
     "reduce_trace",
-    "bruteforce_positive_real_roots",
 ]
 
 
@@ -176,28 +171,33 @@ def _walk(
 
 
 def reduce_trace(v: LatticeVector) -> ReductionTrace:
-    """Full reduction record for a range-valid q = 2 vector of degree >= 1."""
+    """Full reduction record for a range-valid q = 2 vector of degree >= 1.
+
+    Step 0's ``before_sort`` is ``v`` itself, already validated; every
+    later ``before_sort`` and every ``sorted`` is a new validated vector.
+    """
     k = v.params.k
-    d = sum(v.x) // k
+    x = v.x
+    d = sum(x) // k
     if d < 1:
         raise ContractError(f"reduce_trace requires degree >= 1, got degree {d}")
-    if any(c < 0 or c > d for c in v.x):
+    if min(x) < 0 or max(x) > d:
         raise ContractError(
             f"reduce_trace requires all entries in [0, {d}] (the degree)"
         )
-    qv = sum(c * c for c in v.x) + (2 - k) * d * d
+    qv = sum(map(mul, x, x)) + (2 - k) * d * d
     if qv != 2:
         raise ContractError(f"reduce_trace requires q = 2, got q = {qv}")
     raw_steps: list[_StepRecord] = []
-    terminal = _walk(k, v.x, raw_steps)
+    terminal = _walk(k, x, raw_steps)
     steps = tuple(
         ReductionStep(
-            before_sort=LatticeVector(v.params, before),
+            before_sort=LatticeVector(v.params, before) if i else v,
             sorted=LatticeVector(v.params, srt),
             r=r,
             degree_after=d_after,
         )
-        for before, srt, r, d_after in raw_steps
+        for i, (before, srt, r, d_after) in enumerate(raw_steps)
     )
     return ReductionTrace(steps, terminal)
 
@@ -205,9 +205,9 @@ def reduce_trace(v: LatticeVector) -> ReductionTrace:
 def classify(v: LatticeVector) -> Classification:
     """Classify a lattice vector; see the module docstring for the cases."""
     k = v.params.k
-    total = sum(v.x)
-    d = total // k
-    if all(c == 0 for c in v.x):
+    x = v.x
+    d = sum(x) // k
+    if not any(x):
         return Classification(Kind.ZERO, degree=0)
     if d < 0:
         mirror = classify(-v)
@@ -221,17 +221,14 @@ def classify(v: LatticeVector) -> Classification:
             flipped, trace=mirror.trace, q_value=mirror.q_value, degree=d
         )
     if d == 0:
-        plus = sum(1 for c in v.x if c == 1)
-        minus = sum(1 for c in v.x if c == -1)
-        zero = sum(1 for c in v.x if c == 0)
-        if plus == 1 and minus == 1 and zero == v.params.n - 2:
+        if x.count(1) == x.count(-1) == 1 and x.count(0) == v.params.n - 2:
             return Classification(Kind.DEGREE_ZERO_REAL, degree=0)
-        qv = sum(c * c for c in v.x)
+        qv = sum(map(mul, x, x))
         return Classification(Kind.NOT_REAL_Q, q_value=qv, degree=0)
-    if any(c < 0 or c > d for c in v.x):
+    if min(x) < 0 or max(x) > d:
         trace = ReductionTrace((), TerminalKind.RANGE_VIOLATION)
         return Classification(Kind.NOT_REAL_RANGE, trace=trace, degree=d)
-    qv = sum(c * c for c in v.x) + (2 - k) * d * d
+    qv = sum(map(mul, x, x)) + (2 - k) * d * d
     if qv != 2:
         trace = ReductionTrace((), TerminalKind.Q_VIOLATION)
         return Classification(Kind.NOT_REAL_Q, trace=trace, q_value=qv, degree=d)
@@ -247,7 +244,7 @@ def classify(v: LatticeVector) -> Classification:
 
 def classify_entries(params: SystemParams, entries: Sequence[int]) -> Classification:
     """Classify raw integer entries, reporting NotInLattice instead of raising."""
-    entries = tuple(int(c) for c in entries)
+    entries = tuple(map(int, entries))
     if len(entries) != params.n:
         raise ContractError(
             f"expected {params.n} coordinates, got {len(entries)}"
@@ -255,61 +252,3 @@ def classify_entries(params: SystemParams, entries: Sequence[int]) -> Classifica
     if sum(entries) % params.k != 0:
         return Classification(Kind.NOT_IN_LATTICE)
     return classify(LatticeVector(params, entries))
-
-
-def bruteforce_positive_real_roots(
-    params: SystemParams, max_degree: int, visited_cap: int = 10_000_000
-) -> set[LatticeVector]:
-    """Independent oracle: BFS over the Weyl orbit of beta.
-
-    Applies all n generators (the n-1 adjacent swaps and s_beta) starting
-    from beta, keeping vectors with 0 <= degree <= max_degree and entries
-    within [-max_degree*k, max_degree*k].  Every positive real root of
-    degree <= max_degree is reachable inside that window, because the
-    reduction path of a real root stays range-bounded and can be reversed.
-    Positives are the kept roots of degree >= 1 plus the degree-0 roots
-    e_i - e_j whose +1 sits at the later index.
-    """
-    k, n = params.k, params.n
-    if max_degree < 0:
-        raise ContractError("max_degree must be >= 0")
-    bound = max(1, max_degree * k)
-    beta = tuple(1 if i < k else 0 for i in range(n))
-    seen: set[tuple[int, ...]] = {beta}
-    frontier: list[tuple[int, ...]] = [beta]
-    while frontier:
-        next_frontier: list[tuple[int, ...]] = []
-        for x in frontier:
-            images = []
-            for i in range(n - 1):
-                if x[i] != x[i + 1]:
-                    images.append(x[:i] + (x[i + 1], x[i]) + x[i + 2 :])
-            total = sum(x)
-            r = (total - sum(x[:k])) - 2 * (total // k)
-            if r != 0:
-                images.append(tuple(c + r for c in x[:k]) + x[k:])
-            for y in images:
-                if y in seen:
-                    continue
-                ty = sum(y)
-                dy = ty // k
-                if not 0 <= dy <= max_degree:
-                    continue
-                if any(c < -bound or c > bound for c in y):
-                    continue
-                seen.add(y)
-                next_frontier.append(y)
-                if len(seen) > visited_cap:
-                    raise ResourceLimitError(
-                        f"oracle exceeded visited cap of {visited_cap} states"
-                    )
-        frontier = next_frontier
-    out: set[LatticeVector] = set()
-    for x in seen:
-        d = sum(x) // k
-        if 1 <= d <= max_degree:
-            out.add(LatticeVector(params, x))
-        elif d == 0:
-            if x.index(1) > x.index(-1):
-                out.add(LatticeVector(params, x))
-    return out

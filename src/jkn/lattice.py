@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import neg
 from typing import Sequence
 
 from .errors import ContractError, NotInLatticeError
@@ -87,7 +89,7 @@ class LatticeVector:
             raise ContractError(
                 f"expected {self.params.n} coordinates, got {len(self.x)}"
             )
-        if any(not isinstance(c, int) for c in self.x):
+        if not all(map(isinstance, self.x, repeat(int))):
             raise ContractError("coordinates must be integers")
         if sum(self.x) % self.params.k != 0:
             raise NotInLatticeError(
@@ -95,7 +97,7 @@ class LatticeVector:
             )
 
     def __neg__(self) -> "LatticeVector":
-        return LatticeVector(self.params, tuple(-c for c in self.x))
+        return LatticeVector(self.params, tuple(map(neg, self.x)))
 
     def __add__(self, other: "LatticeVector") -> "LatticeVector":
         _require_same_params(self, other)
@@ -299,4 +301,4 @@ def basis_matrix(params: SystemParams) -> tuple[tuple[int, ...], ...]:
 
 def vector_from_entries(params: SystemParams, entries: Sequence[int]) -> LatticeVector:
     """Build a LatticeVector from raw entries, with full validation."""
-    return LatticeVector(params, tuple(int(c) for c in entries))
+    return LatticeVector(params, tuple(map(int, entries)))

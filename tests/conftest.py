@@ -1,4 +1,4 @@
-"""Shared strategies and helpers for the test suite."""
+"""Shared strategies, helpers and the brute-force oracle for the test suite."""
 
 from __future__ import annotations
 
@@ -6,7 +6,13 @@ import itertools
 
 from hypothesis import HealthCheck, settings, strategies as st
 
-from jkn import SystemParams, vector_from_entries
+from jkn import (
+    ContractError,
+    LatticeVector,
+    ResourceLimitError,
+    SystemParams,
+    vector_from_entries,
+)
 
 settings.register_profile(
     "suite",
@@ -54,4 +60,62 @@ def all_candidates(k: int, n: int, d: int) -> list[tuple[int, ...]]:
             continue
         if sum(c * c for c in t) == want_sq:
             out.append(t)
+    return out
+
+
+def bruteforce_positive_real_roots(
+    params: SystemParams, max_degree: int, visited_cap: int = 10_000_000
+) -> set[LatticeVector]:
+    """Independent oracle: BFS over the Weyl orbit of beta.
+
+    Applies all n generators (the n-1 adjacent swaps and s_beta) starting
+    from beta, keeping vectors with 0 <= degree <= max_degree and entries
+    within [-max_degree*k, max_degree*k].  Every positive real root of
+    degree <= max_degree is reachable inside that window, because the
+    reduction path of a real root stays range-bounded and can be reversed.
+    Positives are the kept roots of degree >= 1 plus the degree-0 roots
+    e_i - e_j whose +1 sits at the later index.
+    """
+    k, n = params.k, params.n
+    if max_degree < 0:
+        raise ContractError("max_degree must be >= 0")
+    bound = max(1, max_degree * k)
+    beta = tuple(1 if i < k else 0 for i in range(n))
+    seen: set[tuple[int, ...]] = {beta}
+    frontier: list[tuple[int, ...]] = [beta]
+    while frontier:
+        next_frontier: list[tuple[int, ...]] = []
+        for x in frontier:
+            images = []
+            for i in range(n - 1):
+                if x[i] != x[i + 1]:
+                    images.append(x[:i] + (x[i + 1], x[i]) + x[i + 2 :])
+            total = sum(x)
+            r = (total - sum(x[:k])) - 2 * (total // k)
+            if r != 0:
+                images.append(tuple(c + r for c in x[:k]) + x[k:])
+            for y in images:
+                if y in seen:
+                    continue
+                ty = sum(y)
+                dy = ty // k
+                if not 0 <= dy <= max_degree:
+                    continue
+                if any(c < -bound or c > bound for c in y):
+                    continue
+                seen.add(y)
+                next_frontier.append(y)
+                if len(seen) > visited_cap:
+                    raise ResourceLimitError(
+                        f"oracle exceeded visited cap of {visited_cap} states"
+                    )
+        frontier = next_frontier
+    out: set[LatticeVector] = set()
+    for x in seen:
+        d = sum(x) // k
+        if 1 <= d <= max_degree:
+            out.add(LatticeVector(params, x))
+        elif d == 0:
+            if x.index(1) > x.index(-1):
+                out.add(LatticeVector(params, x))
     return out

@@ -20,7 +20,6 @@ from jkn import (
     apply_s_i,
     apply_word,
     beta_vector,
-    bruteforce_positive_real_roots,
     canonical_profile,
     classify_entries,
     count_almost_real_roots,
@@ -52,7 +51,7 @@ from jkn.golden import (
     REAL_COUNTS,
 )
 
-from conftest import all_candidates
+from conftest import all_candidates, bruteforce_positive_real_roots
 
 TABLE_BUDGET_SECONDS = 60.0  # criterion 1
 ORACLE_BUDGET_SECONDS = 120.0  # criterion 6

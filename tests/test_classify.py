@@ -8,13 +8,17 @@ from hypothesis import given
 from jkn import (
     ContractError,
     Kind,
+    LatticeVector,
     ResourceLimitError,
     SystemParams,
-    bruteforce_positive_real_roots,
+    apply_s_beta,
+    beta_vector,
     classify,
     classify_entries,
     degree,
+    delta_family,
     enumerate_orbits,
+    gamma,
     is_finite_type,
     q,
     reduce_trace,
@@ -22,7 +26,7 @@ from jkn import (
 )
 from jkn.classify import TerminalKind, _walk
 
-from conftest import all_candidates, params_and_vector
+from conftest import all_candidates, bruteforce_positive_real_roots, params_and_vector
 
 
 def test_real_positive_with_trace():
@@ -55,9 +59,18 @@ def test_negative_degree_mirrors():
 def test_degree_zero_kinds():
     p = SystemParams(3, 6)
     assert classify_entries(p, (1, 0, 0, -1, 0, 0)).kind is Kind.DEGREE_ZERO_REAL
-    c = classify_entries(p, (1, 1, -1, -1, 0, 0))
-    assert c.kind is Kind.NOT_REAL_Q
-    assert c.q_value == 4
+    real = LatticeVector(p, (True, 0, 0, -1, False, 0))
+    assert classify(real).kind is Kind.DEGREE_ZERO_REAL
+    for entries, qv in [
+        ((1, 1, -1, -1, 0, 0), 4),
+        ((2, -1, -1, 0, 0, 0), 6),
+        ((0, 3, 0, 0, -3, 0), 18),
+        ((2, -2, 1, -1, 0, 0), 10),
+        ((1, 1, 0, -2, 0, 0), 6),
+        ((1, -1, 1, -1, 1, -1), 6),
+    ]:
+        c = classify_entries(p, entries)
+        assert (c.kind, c.q_value, c.degree) == (Kind.NOT_REAL_Q, qv, 0)
     assert classify_entries(p, (0, 0, 0, 0, 0, 0)).kind is Kind.ZERO
 
 
@@ -90,6 +103,7 @@ def test_beta_trace_is_one_step():
     c = classify_entries(p, (1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0))
     assert c.kind is Kind.REAL_POSITIVE
     assert len(c.trace.steps) == 1
+    assert classify(LatticeVector(p, (True,) * 5 + (False,) * 6)) == c
 
 
 def test_reduce_trace_preconditions():
@@ -118,6 +132,48 @@ def test_sorted_candidate_agrees_with_classify():
                 assert [st[1:] for st in steps] == [
                     (st.sorted.x, st.r, st.degree_after) for st in c.trace.steps
                 ]
+
+
+def _word_root(rng, p, rounds):
+    """beta moved by random permutations (words in the s_i) and s_beta."""
+    v = beta_vector(p)
+    for _ in range(rounds):
+        x = list(v.x)
+        rng.shuffle(x)
+        w = apply_s_beta(vector_from_entries(p, x))
+        if degree(w) > degree(v):
+            v = w
+    x = list(v.x)
+    rng.shuffle(x)
+    return vector_from_entries(p, x)
+
+
+def _assert_trace_chain(v):
+    k = v.params.k
+    trace = reduce_trace(v)
+    assert trace.terminal is TerminalKind.REACHED_MINUS_BETA
+    assert trace.steps[0].before_sort == v
+    for i, step in enumerate(trace.steps):
+        assert step.sorted.params == step.before_sort.params == v.params
+        assert step.sorted.x == tuple(sorted(step.before_sort.x, reverse=True))
+        out = tuple(c + step.r for c in step.sorted.x[:k]) + step.sorted.x[k:]
+        assert sum(out) % k == 0 and step.degree_after == sum(out) // k
+        if i + 1 < len(trace.steps):
+            assert trace.steps[i + 1].before_sort.x == out
+        else:
+            assert out == (-1,) * k + (0,) * (v.params.n - k)
+    assert classify(v).trace == trace
+
+
+def test_trace_steps_chain_from_the_input():
+    rng = random.Random(20211)
+    for k in (3, 4, 5, 6):
+        for n in range(k + 5, k + 13):
+            p = SystemParams(k, n)
+            for _ in range(6):
+                _assert_trace_chain(_word_root(rng, p, rng.randint(1, 12)))
+    _assert_trace_chain(gamma(300, SystemParams(3, 602)))
+    _assert_trace_chain(delta_family(300, SystemParams(301, 602)))
 
 
 @given(params_and_vector())

@@ -45,6 +45,19 @@ def test_membership_checks():
     assert degree(v) == 3
 
 
+@pytest.mark.parametrize("bad", [1.0, "1", Fraction(1), None])
+def test_non_integer_coordinates_rejected(bad):
+    with pytest.raises(ContractError, match="^coordinates must be integers$"):
+        LatticeVector(SystemParams(3, 6), (bad, 1, 1, 0, 0, 0))
+
+
+def test_bool_coordinates_accepted():
+    p = SystemParams(3, 6)
+    v = LatticeVector(p, (True, True, True, False, False, False))
+    assert v == beta_vector(p)
+    assert degree(v) == 1 and q(v) == 2
+
+
 def test_beta_and_simple_roots():
     p = SystemParams(3, 8)
     b = beta_vector(p)

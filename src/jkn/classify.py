@@ -140,7 +140,10 @@ _StepRecord = tuple[tuple[int, ...], tuple[int, ...], int, int]
 
 
 def _walk(
-    k: int, x: Sequence[int], steps: Optional[list[_StepRecord]] = None
+    k: int,
+    x: Sequence[int],
+    steps: Optional[list[_StepRecord]] = None,
+    known: Optional[dict[tuple[int, ...], TerminalKind]] = None,
 ) -> TerminalKind:
     """The contraction walk x -> s_beta(dec(x)) on raw entries.
 
@@ -148,10 +151,25 @@ def _walk(
     a list, each step is appended to it as (before, sorted, r, degree_after).
     The head (first k entries, shifted by r) and the tail stay sorted, so
     the window [0, degree_after] is checked at their ends only.
+
+    ``known`` is a memo for the walks of one enumeration, all with this k:
+    the walk's later steps depend only on the sorted vector, so the walk
+    stops at the first sorted vector from step 1 on that ``known`` holds,
+    takes its terminal, and stores the terminal for every sorted vector from
+    step 1 on that it passed.  Step 0's sorted vector is the input's own;
+    within one degree no walk meets it again, since the degree drops every
+    step.  A walk that records ``steps`` passes no memo.
     """
     d = sum(x) // k
-    for _ in range(d + 1):  # the degree drops every step
+    path = []
+    for i in range(d + 1):  # the degree drops every step
         s = sorted(x, reverse=True)
+        if known is not None and i:
+            key = tuple(s)
+            terminal = known.get(key)
+            if terminal is not None:
+                break
+            path.append(key)
         tail = s[k:]
         r = sum(tail) - 2 * d
         head = [c + r for c in s[:k]]
@@ -162,12 +180,39 @@ def _walk(
         lo = min(head[-1], tail[-1]) if tail else head[-1]
         if hi <= 0:
             if head[0] == head[-1] == -1 and (not tail or tail[-1] == 0):
-                return TerminalKind.REACHED_MINUS_BETA
-            return TerminalKind.ALL_NONPOSITIVE
+                terminal = TerminalKind.REACHED_MINUS_BETA
+            else:
+                terminal = TerminalKind.ALL_NONPOSITIVE
+            break
         if lo < 0 or hi > d:
-            return TerminalKind.RANGE_VIOLATION
+            terminal = TerminalKind.RANGE_VIOLATION
+            break
         x = head + tail
-    raise RuntimeError("reduction failed to terminate")
+    else:
+        raise RuntimeError("reduction failed to terminate")
+    for key in path:
+        known[key] = terminal
+    return terminal
+
+
+def _trace(v: LatticeVector) -> ReductionTrace:
+    """The body of `reduce_trace`, for a vector that passed its checks.
+
+    `classify` makes the same checks on its own way to a `Kind`, so both
+    call this and each check runs once per vector.
+    """
+    raw_steps: list[_StepRecord] = []
+    terminal = _walk(v.params.k, v.x, raw_steps)
+    steps = tuple(
+        ReductionStep(
+            before_sort=LatticeVector(v.params, before) if i else v,
+            sorted=LatticeVector(v.params, srt),
+            r=r,
+            degree_after=d_after,
+        )
+        for i, (before, srt, r, d_after) in enumerate(raw_steps)
+    )
+    return ReductionTrace(steps, terminal)
 
 
 def reduce_trace(v: LatticeVector) -> ReductionTrace:
@@ -188,18 +233,7 @@ def reduce_trace(v: LatticeVector) -> ReductionTrace:
     qv = sum(map(mul, x, x)) + (2 - k) * d * d
     if qv != 2:
         raise ContractError(f"reduce_trace requires q = 2, got q = {qv}")
-    raw_steps: list[_StepRecord] = []
-    terminal = _walk(k, x, raw_steps)
-    steps = tuple(
-        ReductionStep(
-            before_sort=LatticeVector(v.params, before) if i else v,
-            sorted=LatticeVector(v.params, srt),
-            r=r,
-            degree_after=d_after,
-        )
-        for i, (before, srt, r, d_after) in enumerate(raw_steps)
-    )
-    return ReductionTrace(steps, terminal)
+    return _trace(v)
 
 
 def classify(v: LatticeVector) -> Classification:
@@ -232,7 +266,7 @@ def classify(v: LatticeVector) -> Classification:
     if qv != 2:
         trace = ReductionTrace((), TerminalKind.Q_VIOLATION)
         return Classification(Kind.NOT_REAL_Q, trace=trace, q_value=qv, degree=d)
-    full = reduce_trace(v)
+    full = _trace(v)
     if full.terminal is TerminalKind.REACHED_MINUS_BETA:
         kind = Kind.REAL_POSITIVE
     else:

@@ -24,6 +24,8 @@ import enum
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat, starmap
+from operator import itemgetter
 
 from .classify import TerminalKind, _walk
 from .errors import ContractError
@@ -113,17 +115,11 @@ class GenericOrbit:
         }
 
 
-def _multinomial(n: int, multiplicities) -> int:
-    """n! / prod(m!): the distinct arrangements of a multiset of size n."""
-    size = math.factorial(n)
-    for mult in multiplicities:
-        size //= math.factorial(mult)
-    return size
-
-
 def orbit_size(representative: LatticeVector) -> int:
     """Number of distinct permutations of the representative's entries."""
-    return _multinomial(representative.params.n, Counter(representative.x).values())
+    return math.factorial(representative.params.n) // math.prod(
+        map(math.factorial, Counter(representative.x).values())
+    )
 
 
 def _fits(w: int, slots: int, s: int, t: int) -> bool:
@@ -141,6 +137,9 @@ def _search(v: int, slots: int, s: int, t: int, sig: tuple, out: list) -> None:
     descending.  The entries after m_v are each some c <= v-1, so
     c <= c^2 <= (v-1)*c, their sum is at most (v-1)*slots, and `_fits`
     holds.  m_v = 0 moves on to v-1 in place rather than recursing.
+
+    A branch whose entries left can only be 0s and 1s (t' = s') ends in
+    closed form instead of two more calls.
     """
     if t < s:
         return
@@ -156,8 +155,17 @@ def _search(v: int, slots: int, s: int, t: int, sig: tuple, out: list) -> None:
         lo = max(0, s - w * slots, -((w * s - t) // v))
         for m in range(hi, max(lo, 1) - 1, -1):
             rest, s2, t2 = slots - m, s - m * v, t - m * v * v
-            if _fits(w, rest, s2, t2):
+            if not _fits(w, rest, s2, t2):
+                continue
+            if t2 > s2:
                 _search(w, rest, s2, t2, sig + ((v, m),), out)
+                continue
+            # c*(c-1) >= 0, with equality only at c = 0, 1: t' = s' leaves
+            # s' ones (none when w = 0) and rest - s' zeros, s' <= rest by `_fits`
+            leaf = sig + ((v, m),)
+            if s2:
+                leaf += ((1, s2),)
+            out.append(leaf + ((0, rest - s2),) if rest > s2 else leaf)
         if lo or hi < 0 or not _fits(w, slots, s, t):
             return
         v = w
@@ -165,12 +173,16 @@ def _search(v: int, slots: int, s: int, t: int, sig: tuple, out: list) -> None:
 
 
 def _classes(k: int, n: int, d: int):
-    """Each orbit of degree d in J(k,n) as (signature, entries, kind), descending."""
+    """Each orbit of degree d in J(k,n) as (signature, entries, kind), descending.
+
+    The walks share one memo of sorted vectors, which lives for this call.
+    """
     found: list[tuple[tuple[int, int], ...]] = []
     _search(d, n, k * d, 2 + (k - 2) * d * d, (), found)
+    known: dict[tuple[int, ...], TerminalKind] = {}
     for signature in found:
-        x = tuple(c for c, m in signature for _ in range(m))
-        real = _walk(k, x) is TerminalKind.REACHED_MINUS_BETA
+        x = tuple(chain.from_iterable(starmap(repeat, signature)))
+        real = _walk(k, x, known=known) is TerminalKind.REACHED_MINUS_BETA
         yield signature, x, OrbitKind.REAL if real else OrbitKind.ALMOST_REAL
 
 
@@ -179,15 +191,17 @@ def enumerate_orbits(params: SystemParams, degree: int) -> tuple[OrbitClass, ...
 
     One search over the multiplicities (m_d, ..., m_0), at most
     min(d, n) + 1 calls deep, gives each multiset signature, and from it the
-    representative and its orbit size n! / prod(m_v!).  Sorted
-    lexicographically descending by representative.  Nothing is cached: a
+    representative and its orbit size n! / prod(m_v!), with n! taken once.
+    Sorted lexicographically descending by representative.  The walks share
+    a memo that lives for this call only; nothing is cached across calls: a
     caller that needs the result twice keeps it.
     """
     if degree < 1:
         raise ContractError(f"enumerate_orbits requires degree >= 1, got {degree}")
+    n_factorial = math.factorial(params.n)
     classes = []
     for sig, x, kind in _classes(params.k, params.n, degree):
-        size = _multinomial(params.n, (m for _, m in sig))
+        size = n_factorial // math.prod(map(math.factorial, map(itemgetter(1), sig)))
         classes.append(OrbitClass(LatticeVector(params, x), degree, kind, size, sig))
     return tuple(classes)
 

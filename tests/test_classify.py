@@ -134,6 +134,37 @@ def test_sorted_candidate_agrees_with_classify():
                 ]
 
 
+
+def _walk_with_memo(k, candidates):
+    """Walk the candidates in order with one shared memo, each against a
+    fresh walk; returns (steps from step 1 on, memo size)."""
+    known = {}
+    later = 0
+    for x in candidates:
+        steps = []
+        terminal = _walk(k, x, steps)
+        assert _walk(k, x, known=known) is terminal
+        for _, srt, _, _ in steps[1:]:
+            assert known.get(srt) is terminal
+        later += len(steps) - 1
+    return later, len(known)
+
+
+def test_walk_memo_agrees_with_fresh_walks():
+    rng = random.Random(2108)
+    systems = [(k, n, range(1, 7)) for n in range(2, 11) for k in range(1, n)]
+    systems += [(2 * d - 1, 4 * d - 2, (d,)) for d in range(1, 9)]
+    shared = 0
+    for k, n, degrees in systems:
+        p = SystemParams(k, n)
+        xs = [oc.representative.x for d in degrees for oc in enumerate_orbits(p, d)]
+        shuffled = [tuple(rng.sample(x, n)) for x in rng.sample(xs, len(xs))]
+        for candidates in (xs, shuffled):
+            later, stored = _walk_with_memo(k, candidates)
+            shared += later - stored
+    assert shared > 0  # some walks did stop at a vector the memo held
+
+
 def _word_root(rng, p, rounds):
     """beta moved by random permutations (words in the s_i) and s_beta."""
     v = beta_vector(p)

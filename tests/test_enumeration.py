@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import all_candidates
+from conftest import all_candidates, bruteforce_positive_real_roots
 from jkn import (
     ContractError,
     OrbitKind,
@@ -132,6 +132,28 @@ def test_orbits_match_exhaustive_candidates():
                     assert oc.multiset_signature == tuple(
                         sorted(Counter(oc.representative.x).items(), reverse=True)
                     )
+
+
+
+@pytest.mark.parametrize("k,n,top", [(3, 10, 6), (3, 11, 5)])
+def test_orbits_match_weyl_orbit_oracle(k, n, top):
+    """Past the reach of the exhaustive candidates, the BFS over the Weyl
+    orbit of beta lists the real roots of each degree: sorted, they are the
+    REAL representatives, and each is met orbit_size times."""
+    p = SystemParams(k, n)
+    met = Counter(
+        (degree(v), tuple(sorted(v.x, reverse=True)))
+        for v in bruteforce_positive_real_roots(p, top)
+    )
+    for d in range(1, top + 1):
+        oracle = {x: count for (e, x), count in met.items() if e == d}
+        claimed = {
+            oc.representative.x: oc.orbit_size
+            for oc in enumerate_orbits(p, d)
+            if oc.kind is OrbitKind.REAL
+        }
+        assert set(oracle) == set(claimed), (k, n, d)
+        assert oracle == claimed, (k, n, d)
 
 
 def test_extend_is_monotone():

@@ -23,7 +23,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .errors import ContractError
-from .lattice import LatticeVector, SystemParams
+from .lattice import LatticeVector, SystemParams, _integer_entries
 
 __all__ = [
     "Kind",
@@ -278,7 +278,7 @@ def classify(v: LatticeVector) -> Classification:
 
 def classify_entries(params: SystemParams, entries: Sequence[int]) -> Classification:
     """Classify raw integer entries, reporting NotInLattice instead of raising."""
-    entries = tuple(map(int, entries))
+    entries = _integer_entries(entries)
     if len(entries) != params.n:
         raise ContractError(
             f"expected {params.n} coordinates, got {len(entries)}"

@@ -321,15 +321,19 @@ def fundamental_weights(params: SystemParams) -> tuple[WeightVector, ...]:
     Exact rationals; only defined when the symmetric bilinear form is
     positive definite (finite type).  The e-Gram matrix I - ((k-2)/k^2) J
     is a rank-one perturbation of I, so Sherman-Morrison inverts it in
-    closed form and, with M = k^2 - n(k-2) (the definiteness margin) and
-    1-indexed coordinates i,
+    closed form: with M = k^2 - n(k-2) (the definiteness margin), every
+    weight is an integer vector over M.  With 1-indexed coordinates i, the
+    numerators of x_i are
 
-        omega_beta      = (k/M) (1, ..., 1),
-        omega_{alpha_j} : x_i = 2j/M - [i <= j]          for 1 <= j <= k-1,
-        omega_{alpha_j} : x_i = (k-2)(n-j)/M + [i > j]   for j >= k.
+        omega_beta      : k,
+        omega_{alpha_j} : 2j - M [i <= j]           for 1 <= j <= k-1,
+        omega_{alpha_j} : (k-2)(n-j) + M [i > j]    for j >= k.
 
-    root_coeffs applies the to_root_basis formula to each weight, so the
-    whole call is O(n^2) Fraction operations, the size of its output.
+    root_coeffs applies the to_root_basis formula to these integers: the
+    coordinate total is nk, jk(n-k) or (n-j)k^2 respectively, so the
+    degree total / k is exact, and the rest is an integer prefix sum.  The
+    call does O(n^2) integer operations and builds one Fraction per
+    distinct numerator.
     """
     margin = definiteness_margin(params)
     if margin < 0:
@@ -342,29 +346,50 @@ def fundamental_weights(params: SystemParams) -> tuple[WeightVector, ...]:
             f"{params} is of affine type: the Cartan matrix is singular"
         )
     k, n = params.k, params.n
-    weights = [_weight(params, (Fraction(k, margin),) * n)]
+    over = _OverMargin(margin)
+    weights = [_weight(params, (k,) * n, over)]
     for j in range(1, n):
         if j < k:
-            c = Fraction(2 * j, margin)
-            coords = (c - 1,) * j + (c,) * (n - j)
+            a = 2 * j
+            coords = (a - margin,) * j + (a,) * (n - j)
         else:
-            c = Fraction((k - 2) * (n - j), margin)
-            coords = (c,) * j + (c + 1,) * (n - j)
-        weights.append(_weight(params, coords))
+            a = (k - 2) * (n - j)
+            coords = (a,) * j + (a + margin,) * (n - j)
+        weights.append(_weight(params, coords, over))
     return tuple(weights)
 
 
-def _weight(params: SystemParams, coords: tuple[Fraction, ...]) -> WeightVector:
-    """coords with its simple-root coefficients, as in to_root_basis."""
+class _OverMargin(dict):
+    """numerator -> Fraction(numerator, margin), each built on first use."""
+
+    def __init__(self, margin: int) -> None:
+        super().__init__()
+        self.margin = margin
+
+    def __missing__(self, a: int) -> Fraction:
+        self[a] = f = Fraction(a, self.margin)
+        return f
+
+
+def _weight(
+    params: SystemParams, coords: tuple[int, ...], over: _OverMargin
+) -> WeightVector:
+    """Coordinate numerators over M with their root coefficients (to_root_basis)."""
     k = params.k
     total = sum(coords)
-    d = total / k
+    if total % k:
+        raise RuntimeError(
+            f"a fundamental weight of {params} has coordinate total {total},"
+            f" not divisible by k={k}"
+        )
+    d = total // k
     coeffs = [d]
-    prefix = Fraction(0)
+    prefix = 0
     for j in range(1, params.n):
         prefix += coords[j - 1]
         coeffs.append(j * d - prefix if j < k else total - prefix)
-    return WeightVector(params, coords, tuple(coeffs))
+    frac = over.__getitem__
+    return WeightVector(params, tuple(map(frac, coords)), tuple(map(frac, coeffs)))
 
 
 def sum_of_positive_roots(params: SystemParams) -> LatticeVector:

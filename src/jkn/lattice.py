@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from operator import neg
+from operator import index, neg
 from typing import Sequence
 
 from .errors import ContractError, NotInLatticeError
@@ -299,6 +299,18 @@ def basis_matrix(params: SystemParams) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
+def _integer_entries(entries: Sequence[int]) -> tuple[int, ...]:
+    """Entries as a tuple of ints; anything that is not an integer is refused.
+
+    Python ints, bools and numpy integers pass (``operator.index``); floats,
+    even integral ones, and strings raise ContractError.
+    """
+    try:
+        return tuple(map(index, entries))
+    except TypeError:
+        raise ContractError("coordinates must be integers") from None
+
+
 def vector_from_entries(params: SystemParams, entries: Sequence[int]) -> LatticeVector:
     """Build a LatticeVector from raw entries, with full validation."""
-    return LatticeVector(params, tuple(map(int, entries)))
+    return LatticeVector(params, _integer_entries(entries))

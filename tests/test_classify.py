@@ -91,6 +91,26 @@ def test_q_violation_positive_degree():
     assert c.trace.as_json_dict()["terminal"] == "q"
 
 
+def test_entries_must_be_integers():
+    """Floats and strings are refused, never truncated."""
+    p = SystemParams(3, 8)
+    for bad in (2.5, 2.0, "2"):
+        entries = (bad, 1, 1, 1, 1, 1, 1, 1)
+        for build in (classify_entries, vector_from_entries):
+            with pytest.raises(ContractError, match="coordinates must be integers"):
+                build(p, entries)
+
+
+def test_integer_types_pass():
+    p = SystemParams(3, 8)
+    np = pytest.importorskip("numpy")
+    entries = (np.int64(2), True, 1, 1, 1, 1, 1, 1)
+    assert classify_entries(p, entries).kind is Kind.REAL_POSITIVE
+    v = vector_from_entries(p, entries)
+    assert v.x == (2, 1, 1, 1, 1, 1, 1, 1)
+    assert all(type(c) is int for c in v.x)
+
+
 def test_not_in_lattice_vs_contract():
     p = SystemParams(3, 8)
     assert classify_entries(p, (1,) * 8).kind is Kind.NOT_IN_LATTICE

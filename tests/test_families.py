@@ -397,12 +397,43 @@ def _finite_systems(max_n):
 
 def test_weights_match_cartan_inverse():
     """The closed form equals Gauss-Jordan on the Cartan matrix, exactly."""
-    systems = _finite_systems(12) + [SystemParams(2, 20), SystemParams(18, 20)]
+    systems = _finite_systems(12) + [
+        SystemParams(k, 20) for k in (1, 2, 18, 19)
+    ]
     for p in systems:
         got = [(w.coords, w.root_coeffs) for w in fundamental_weights(p)]
         assert got == _cartan_inverse_weights(p), p
         for w in fundamental_weights(p):
             assert all(type(c) is F for c in w.coords + w.root_coeffs), p
+
+
+def test_weights_invert_sparse_cartan_at_large_n():
+    """C R = I and coords = basis R, on the diagram T(2, k, n-k-2), in integers.
+
+    r holds a weight's root coefficients times M (branch first, then the
+    chain alpha_1 .. alpha_{n-1}); beta is joined to alpha_k only.
+    """
+    systems = [SystemParams(k, 200) for k in (1, 2, 198, 199)]
+    systems += [SystemParams(3, n) for n in (6, 7, 8)]
+    for p in systems:
+        k, n = p.k, p.n
+        margin = definiteness_margin(p)
+
+        def scaled(c):
+            assert type(c) is F and margin % c.denominator == 0, (p, c)
+            return c.numerator * (margin // c.denominator)
+
+        for col, w in enumerate(fundamental_weights(p)):
+            r = list(map(scaled, w.root_coeffs))
+            x = list(map(scaled, w.coords))
+            rb = r[0]
+            chain = [0] + r[1:] + [0]  # chain[i] = r_{alpha_i}, zero off the ends
+            assert 2 * rb - chain[k] == margin * (col == 0), (p, col)
+            for i in range(1, n):
+                row = 2 * chain[i] - chain[i - 1] - chain[i + 1] - (i == k) * rb
+                assert row == margin * (col == i), (p, col, i)
+            for i in range(1, n + 1):
+                assert x[i - 1] == (i <= k) * rb + chain[i - 1] - chain[i], (p, col, i)
 
 
 def test_weights_reject_non_finite():

@@ -25,6 +25,10 @@ from typing import Optional, Sequence
 from .errors import ContractError
 from .lattice import LatticeVector, SystemParams, _integer_entries
 
+# Bound once here, so that code which rebinds this module's `LatticeVector`
+# (a profiler's wrapper, say) leaves the unchecked path as it is.
+_trusted = LatticeVector._trusted
+
 __all__ = [
     "Kind",
     "TerminalKind",
@@ -199,14 +203,19 @@ def _trace(v: LatticeVector) -> ReductionTrace:
     """The body of `reduce_trace`, for a vector that passed its checks.
 
     `classify` makes the same checks on its own way to a `Kind`, so both
-    call this and each check runs once per vector.
+    call this and each check runs once per vector.  The step vectors are
+    built unchecked: the walk keeps every vector in the lattice.
     """
+    params = v.params
     raw_steps: list[_StepRecord] = []
-    terminal = _walk(v.params.k, v.x, raw_steps)
+    terminal = _walk(params.k, v.x, raw_steps)
     steps = tuple(
         ReductionStep(
-            before_sort=LatticeVector(v.params, before) if i else v,
-            sorted=LatticeVector(v.params, srt),
+            # step i's input is s_beta of step i-1's sorted vector, and
+            # s_beta(y) = y + r*beta stays in the lattice
+            before_sort=_trusted(params, before) if i else v,
+            # a permutation of `before_sort`, so in the lattice too
+            sorted=_trusted(params, srt),
             r=r,
             degree_after=d_after,
         )
@@ -218,8 +227,10 @@ def _trace(v: LatticeVector) -> ReductionTrace:
 def reduce_trace(v: LatticeVector) -> ReductionTrace:
     """Full reduction record for a range-valid q = 2 vector of degree >= 1.
 
-    Step 0's ``before_sort`` is ``v`` itself, already validated; every
-    later ``before_sort`` and every ``sorted`` is a new validated vector.
+    Step 0's ``before_sort`` is ``v`` itself, already validated.  Every
+    later ``before_sort`` (s_beta of a lattice vector) and every ``sorted``
+    (a permutation of one) is proved to lie in the lattice, so these are
+    built without re-running the checks.
     """
     k = v.params.k
     x = v.x
@@ -285,4 +296,5 @@ def classify_entries(params: SystemParams, entries: Sequence[int]) -> Classifica
         )
     if sum(entries) % params.k != 0:
         return Classification(Kind.NOT_IN_LATTICE)
-    return classify(LatticeVector(params, entries))
+    # ints, of the right length, with k | sum: the constructor's own checks
+    return classify(_trusted(params, entries))

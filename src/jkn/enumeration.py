@@ -31,6 +31,10 @@ from .classify import TerminalKind, _walk
 from .errors import ContractError
 from .lattice import LatticeVector, SystemParams
 
+# Bound once here, so that code which rebinds this module's `LatticeVector`
+# (a profiler's wrapper, say) leaves the unchecked path as it is.
+_trusted = LatticeVector._trusted
+
 __all__ = [
     "OrbitKind",
     "OrbitClass",
@@ -202,7 +206,8 @@ def enumerate_orbits(params: SystemParams, degree: int) -> tuple[OrbitClass, ...
     classes = []
     for sig, x, kind in _classes(params.k, params.n, degree):
         size = n_factorial // math.prod(map(math.factorial, map(itemgetter(1), sig)))
-        classes.append(OrbitClass(LatticeVector(params, x), degree, kind, size, sig))
+        # the search keeps only signatures whose n entries are ints summing to k*d
+        classes.append(OrbitClass(_trusted(params, x), degree, kind, size, sig))
     return tuple(classes)
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from operator import index, neg
 from typing import Sequence
 
@@ -74,30 +73,40 @@ class SystemParams:
 class LatticeVector:
     """Element of ZDelta in the coordinates (x_1, ..., x_n).
 
-    Construction checks lattice membership (k | sum of entries) eagerly;
-    intermediate arithmetic that needs unchecked tuples works on raw tuples
-    internally and never leaks them.
+    Construction turns the entries into a tuple of ints (bools and numpy
+    integers pass, floats and strings do not) and checks the length and
+    lattice membership (k | sum of entries) eagerly.  Only a vector the
+    library has proved to lie in the lattice skips these checks, through
+    `_trusted`: a negation, the steps of a contraction walk, an orbit
+    representative built from its signature, and the entries `classify_entries`
+    has already checked.  Every vector that comes in from a caller is checked.
     """
 
     params: SystemParams
     x: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.x, tuple):
-            object.__setattr__(self, "x", tuple(self.x))
-        if len(self.x) != self.params.n:
-            raise ContractError(
-                f"expected {self.params.n} coordinates, got {len(self.x)}"
-            )
-        if not all(map(isinstance, self.x, repeat(int))):
-            raise ContractError("coordinates must be integers")
-        if sum(self.x) % self.params.k != 0:
+        x = _integer_entries(self.x)
+        object.__setattr__(self, "x", x)
+        if len(x) != self.params.n:
+            raise ContractError(f"expected {self.params.n} coordinates, got {len(x)}")
+        if sum(x) % self.params.k != 0:
             raise NotInLatticeError(
-                f"coordinate sum {sum(self.x)} is not divisible by k={self.params.k}"
+                f"coordinate sum {sum(x)} is not divisible by k={self.params.k}"
             )
 
+    @classmethod
+    def _trusted(cls, params: SystemParams, x: tuple[int, ...]) -> "LatticeVector":
+        """A vector of ints the caller has proved to be in J(params)'s lattice;
+        nothing is checked."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "params", params)
+        object.__setattr__(v, "x", x)
+        return v
+
     def __neg__(self) -> "LatticeVector":
-        return LatticeVector(self.params, tuple(map(neg, self.x)))
+        # the negation of a lattice vector is a lattice vector
+        return self._trusted(self.params, tuple(map(neg, self.x)))
 
     def __add__(self, other: "LatticeVector") -> "LatticeVector":
         _require_same_params(self, other)
@@ -312,5 +321,6 @@ def _integer_entries(entries: Sequence[int]) -> tuple[int, ...]:
 
 
 def vector_from_entries(params: SystemParams, entries: Sequence[int]) -> LatticeVector:
-    """Build a LatticeVector from raw entries, with full validation."""
-    return LatticeVector(params, _integer_entries(entries))
+    """Build a LatticeVector from raw entries, with full validation: the
+    same as ``LatticeVector(params, entries)``."""
+    return LatticeVector(params, entries)

@@ -217,6 +217,16 @@ def test_affine_counts_are_periodic(k, n, period, total):
     assert not any(count_almost_real_roots(p, d) for d in range(1, 301))
 
 
+@pytest.mark.parametrize("k", [3, 7])
+def test_e10_has_no_almost_real_roots(k):
+    """J(3,10) is E10, whose root lattice is the even unimodular II_{9,1}, so
+    every vector of norm 2 is a real root (Kac, Infinite Dimensional Lie
+    Algebras, section 5.10); the same holds for its dual J(7,10)."""
+    p = SystemParams(k, 10)
+    for d in range(1, 41):
+        assert all(oc.kind is OrbitKind.REAL for oc in enumerate_orbits(p, d)), d
+
+
 def test_degree_preconditions():
     p = SystemParams(3, 9)
     with pytest.raises(ContractError):

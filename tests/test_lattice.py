@@ -58,6 +58,11 @@ def test_bool_coordinates_accepted():
     assert degree(v) == 1 and q(v) == 2
 
 
+def test_direct_construction_normalises_entries():
+    v = LatticeVector(SystemParams(3, 6), (True, 0, 0, -1, False, 0))
+    assert v.as_json_dict()["x"] == [1, 0, 0, -1, 0, 0]
+
+
 def test_beta_and_simple_roots():
     p = SystemParams(3, 8)
     b = beta_vector(p)

@@ -156,9 +156,9 @@ def _render(
     header: Sequence[str] = (),
     rows: Iterable[Sequence[object]] = (),
 ) -> str:
-    """The output text in the requested format: json of obj, csv rows, or plain."""
+    """The output text in the requested format: compact json, csv rows, or plain."""
     if args.format == "json":
-        return json.dumps(obj, indent=2)
+        return json.dumps(obj)
     if args.format == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")

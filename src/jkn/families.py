@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .enumeration import OrbitKind, enumerate_orbits
 from .errors import ContractError
 from .lattice import LatticeVector, SystemParams, degree
 
@@ -395,35 +394,24 @@ def _weight(
 def sum_of_positive_roots(params: SystemParams) -> LatticeVector:
     """Entrywise sum over every positive root of a finite-type system.
 
-    Equals twice the sum of the fundamental weights.  The degree-0 roots
-    e_j - e_i (i < j) put 2j - (n-1) at 0-based index j; a real orbit of
-    degree d has entries summing to kd, spread evenly over the coordinates
-    by the permutations, so it adds orbit_size * k * d / n to each.
+    The sum is 2rho, and rho is fixed by B(rho, simple root) = 1.  The
+    simple roots alpha_j = e_{j+1} - e_j make consecutive coordinates of
+    2rho differ by 2, so 0-based coordinate j is 2j + c; B(2rho, beta) = 2
+    then reads c * M = 2k - k^2(k-1) + (k-2)n(n-1), with M = k^2 - n(k-2)
+    the definiteness margin.  O(n), and nothing is enumerated.
     """
     if not is_finite_type(params):
         raise ContractError(
             f"{params} is not of finite type; the positive-root sum diverges"
         )
     k, n = params.k, params.n
-    per_coordinate = 0
-    d = 1
-    while True:
-        sizes = [
-            oc.orbit_size
-            for oc in enumerate_orbits(params, d)
-            if oc.kind is OrbitKind.REAL
-        ]
-        if not sizes:
-            break
-        for size in sizes:
-            share, rem = divmod(size * k * d, n)
-            if rem:
-                raise RuntimeError(f"a degree-{d} orbit of {params} is uneven")
-            per_coordinate += share
-        d += 1
-    return LatticeVector(
-        params, tuple(2 * j - (n - 1) + per_coordinate for j in range(n))
+    c, rem = divmod(
+        2 * k - k * k * (k - 1) + (k - 2) * n * (n - 1),
+        definiteness_margin(params),
     )
+    if rem:
+        raise RuntimeError(f"the positive-root sum of {params} is not integral")
+    return LatticeVector(params, tuple(range(c, c + 2 * n, 2)))
 
 
 # ---------------------------------------------------------------------------

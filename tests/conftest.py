@@ -1,4 +1,4 @@
-"""Shared strategies, helpers and the brute-force oracle for the test suite."""
+"""Shared strategies, helpers and the brute-force oracles for the test suite."""
 
 from __future__ import annotations
 
@@ -9,8 +9,11 @@ from hypothesis import HealthCheck, settings, strategies as st
 from jkn import (
     ContractError,
     LatticeVector,
+    OrbitKind,
     ResourceLimitError,
     SystemParams,
+    enumerate_orbits,
+    is_finite_type,
     vector_from_entries,
 )
 
@@ -119,3 +122,37 @@ def bruteforce_positive_real_roots(
             if x.index(1) > x.index(-1):
                 out.add(LatticeVector(params, x))
     return out
+
+
+def enumerated_sum_of_positive_roots(params: SystemParams) -> LatticeVector:
+    """Reference for the closed form: the positive-root sum by enumeration.
+
+    Adds up every positive root, orbit by orbit.  The degree-0 roots
+    e_j - e_i (i < j) put 2j - (n-1) at 0-based index j; a real orbit of
+    degree d has entries summing to kd, spread evenly over the coordinates
+    by the permutations, so it adds orbit_size * k * d / n to each.
+    """
+    if not is_finite_type(params):
+        raise ContractError(
+            f"{params} is not of finite type; the positive-root sum diverges"
+        )
+    k, n = params.k, params.n
+    per_coordinate = 0
+    d = 1
+    while True:
+        sizes = [
+            oc.orbit_size
+            for oc in enumerate_orbits(params, d)
+            if oc.kind is OrbitKind.REAL
+        ]
+        if not sizes:
+            break
+        for size in sizes:
+            share, rem = divmod(size * k * d, n)
+            if rem:
+                raise RuntimeError(f"a degree-{d} orbit of {params} is uneven")
+            per_coordinate += share
+        d += 1
+    return LatticeVector(
+        params, tuple(2 * j - (n - 1) + per_coordinate for j in range(n))
+    )

@@ -277,3 +277,45 @@ def test_selftest_json(capsys):
     assert len(blob["checks"]) == 71
     assert all(set(c) == {"label", "ok", "detail"} for c in blob["checks"])
     assert all(c["ok"] for c in blob["checks"])
+
+
+def _plain_json(obj):
+    """obj as json.loads returns it: tuples become lists."""
+    return json.loads(json.dumps(obj))
+
+
+def test_json_output_is_one_line(capsys):
+    """check, orbits and selftest print one compact line of json each."""
+    p = jkn.SystemParams(3, 8)
+    x = (2, 1, 1, 1, 1, 1, 1, 1)
+    c = jkn.classify_entries(p, x)
+    orbits = jkn.enumerate_orbits(jkn.SystemParams(3, 9), 3)
+    code, plain = run(capsys, "selftest")
+    assert code == 0
+    labels = [line[len("ok: "):] for line in plain.splitlines()[:-1]]
+    expected = {
+        ("check", "3", "8", "2,1,1,1,1,1,1,1"): {
+            "k": 3,
+            "n": 8,
+            "x": list(x),
+            "kind": "RealPositive",
+            "degree": 3,
+            "q": None,
+            "trace": _plain_json(c.trace.as_json_dict()),
+        },
+        ("orbits", "3", "9", "--degree", "3"): {
+            "k": 3,
+            "n": 9,
+            "degree": 3,
+            "orbits": _plain_json([oc.as_json_dict() for oc in orbits]),
+        },
+        ("selftest",): {
+            "checks": [{"label": lb, "ok": True, "detail": ""} for lb in labels],
+            "passed": True,
+        },
+    }
+    for argv, obj in expected.items():
+        code, out = run(capsys, *argv, "--format", "json")
+        assert code == 0, argv
+        assert out.endswith("\n") and out.count("\n") == 1, argv
+        assert json.loads(out) == obj, argv

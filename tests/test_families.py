@@ -32,7 +32,7 @@ from jkn import (
     vector_from_entries,
 )
 
-from conftest import params_and_vector
+from conftest import enumerated_sum_of_positive_roots, params_and_vector
 
 F = Fraction
 
@@ -466,6 +466,29 @@ def test_sum_of_positive_roots_is_twice_weight_sum():
         ws = fundamental_weights(p)
         double = tuple(2 * sum(w.coords[i] for w in ws) for i in range(n))
         assert tuple(map(F, sum_of_positive_roots(p).x)) == double
+
+
+def test_sum_of_positive_roots_matches_enumeration():
+    """The closed form equals the orbit-by-orbit sum on every finite n <= 10."""
+    for p in _finite_systems(10):
+        assert sum_of_positive_roots(p) == enumerated_sum_of_positive_roots(p), p
+
+
+@pytest.mark.parametrize("k", [1, 2, 298, 299])
+def test_sum_of_positive_roots_pairs_to_two_at_large_n(k):
+    """B(2rho, beta) = B(2rho, alpha_j) = 2 at n = 300, through `inner`."""
+    p = SystemParams(k, 300)
+    total = sum_of_positive_roots(p)
+    assert inner(total, beta_vector(p)) == 2
+    for j in range(1, p.n):
+        assert inner(total, simple_root(p, j)) == 2, j
+
+
+@pytest.mark.parametrize("k, n", [(3, 9), (4, 8), (3, 10), (4, 10)])
+def test_sum_of_positive_roots_rejects_non_finite(k, n):
+    """M <= 0 is refused before the division by M."""
+    with pytest.raises(ContractError, match="not of finite type"):
+        sum_of_positive_roots(SystemParams(k, n))
 
 
 # --- Manin correspondence ----------------------------------------------------

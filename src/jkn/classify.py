@@ -26,7 +26,8 @@ from .errors import ContractError
 from .lattice import LatticeVector, SystemParams, _integer_entries
 
 # Bound once here, so that code which rebinds this module's `LatticeVector`
-# (a profiler's wrapper, say) leaves the unchecked path as it is.
+# (a profiler's wrapper, say) leaves the unchecked path as it is.  Like
+# `_step` below, it stores a proved record through its slots.
 _trusted = LatticeVector._trusted
 
 __all__ = [
@@ -89,6 +90,14 @@ _TERMINAL_JSON = {
     TerminalKind.Q_VIOLATION: "q",
 }
 
+# The kind of a negative-degree input from the kind of its negation
+_MIRROR_KIND = {
+    Kind.REAL_POSITIVE: Kind.REAL_NEGATIVE,
+    Kind.REAL_NEGATIVE: Kind.REAL_POSITIVE,
+    Kind.ALMOST_REAL_POSITIVE: Kind.ALMOST_REAL_NEGATIVE,
+    Kind.ALMOST_REAL_NEGATIVE: Kind.ALMOST_REAL_POSITIVE,
+}
+
 
 @dataclass(frozen=True, slots=True)
 class ReductionStep:
@@ -103,6 +112,29 @@ class ReductionStep:
     sorted: LatticeVector
     r: int
     degree_after: int
+
+
+# The walk's steps are built by `_step`, which stores the four slots through
+# their member descriptors: the frozen __init__ would pass each through
+# object.__setattr__, at about twice the cost.
+_new = object.__new__
+_set_before_sort = ReductionStep.__dict__["before_sort"].__set__
+_set_sorted = ReductionStep.__dict__["sorted"].__set__
+_set_r = ReductionStep.__dict__["r"].__set__
+_set_degree_after = ReductionStep.__dict__["degree_after"].__set__
+
+
+def _step(
+    before_sort: LatticeVector, sorted_: LatticeVector, r: int, degree_after: int
+) -> ReductionStep:
+    """``ReductionStep(before_sort, sorted_, r, degree_after)`` for fields
+    the walk has produced; there is nothing to check."""
+    step = _new(ReductionStep)
+    _set_before_sort(step, before_sort)
+    _set_sorted(step, sorted_)
+    _set_r(step, r)
+    _set_degree_after(step, degree_after)
+    return step
 
 
 @dataclass(frozen=True, slots=True)
@@ -210,14 +242,14 @@ def _trace(v: LatticeVector) -> ReductionTrace:
     raw_steps: list[_StepRecord] = []
     terminal = _walk(params.k, v.x, raw_steps)
     steps = tuple(
-        ReductionStep(
+        _step(
             # step i's input is s_beta of step i-1's sorted vector, and
             # s_beta(y) = y + r*beta stays in the lattice
-            before_sort=_trusted(params, before) if i else v,
+            _trusted(params, before) if i else v,
             # a permutation of `before_sort`, so in the lattice too
-            sorted=_trusted(params, srt),
-            r=r,
-            degree_after=d_after,
+            _trusted(params, srt),
+            r,
+            d_after,
         )
         for i, (before, srt, r, d_after) in enumerate(raw_steps)
     )
@@ -256,12 +288,7 @@ def classify(v: LatticeVector) -> Classification:
         return Classification(Kind.ZERO, degree=0)
     if d < 0:
         mirror = classify(-v)
-        flipped = {
-            Kind.REAL_POSITIVE: Kind.REAL_NEGATIVE,
-            Kind.REAL_NEGATIVE: Kind.REAL_POSITIVE,
-            Kind.ALMOST_REAL_POSITIVE: Kind.ALMOST_REAL_NEGATIVE,
-            Kind.ALMOST_REAL_NEGATIVE: Kind.ALMOST_REAL_POSITIVE,
-        }.get(mirror.kind, mirror.kind)
+        flipped = _MIRROR_KIND.get(mirror.kind, mirror.kind)
         return Classification(
             flipped, trace=mirror.trace, q_value=mirror.q_value, degree=d
         )

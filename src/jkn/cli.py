@@ -12,22 +12,23 @@ form @file pulls one argument per line from the file, so
 `check 3 8 @vectors.txt` classifies a batch.  Each subcommand returns its
 exit code and its whole output text, rendered once in the requested
 format, and main writes that text to stdout.
+
+The modules only one subcommand or one format needs (the reference tables,
+json, csv, traceback) are imported where they are used, so that a command
+does not pay for what it never runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
-import json
+import math
 import re
 import signal
 import sys
-import traceback
 from typing import Callable, Iterable, Optional, Sequence
 
-from . import golden
 from .classify import (
     Classification,
     Kind,
@@ -158,8 +159,12 @@ def _render(
 ) -> str:
     """The output text in the requested format: compact json, csv rows, or plain."""
     if args.format == "json":
+        import json
+
         return json.dumps(obj)
     if args.format == "csv":
+        import csv
+
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
@@ -354,6 +359,8 @@ def _cmd_word(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> tuple[int, str]:
+    from . import golden
+
     checks: list[dict] = []
 
     def report(label: str, ok: bool, detail: str = "") -> None:
@@ -501,11 +508,26 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", choices=formats, default="plain")
         p.add_argument(
             "--time-limit",
-            type=float,
+            type=_time_limit,
             default=300.0,
-            help="abort with exit 4 after this many seconds (default 300)",
+            metavar="SECONDS",
+            help="abort with exit 4 after this many seconds; 0 means no limit"
+            " (default 300)",
         )
     return parser
+
+
+def _time_limit(text: str) -> float:
+    """A --time-limit value: a finite number of seconds >= 0."""
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = math.nan
+    if not math.isfinite(seconds) or seconds < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0 (0 means no limit), got {text!r}"
+        )
+    return seconds
 
 
 def _raise_time_limit(signum, frame):  # noqa: ANN001 - signal handler
@@ -519,7 +541,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         use_alarm = args.time_limit > 0 and hasattr(signal, "SIGALRM")
         if use_alarm:
             previous = signal.signal(signal.SIGALRM, _raise_time_limit)
-            signal.setitimer(signal.ITIMER_REAL, args.time_limit)
+            try:
+                signal.setitimer(signal.ITIMER_REAL, args.time_limit)
+            except OverflowError:
+                raise ContractError(
+                    f"--time-limit {args.time_limit:g} is too large for the timer"
+                ) from None
         code, text = args.func(args)
         sys.stdout.write(text + "\n")
         sys.stdout.flush()
@@ -531,6 +558,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 4
     except Exception:
+        import traceback
+
         traceback.print_exc()
         return 5
     finally:

@@ -79,7 +79,9 @@ class LatticeVector:
     library has proved to lie in the lattice skips these checks, through
     `_trusted`: a negation, the steps of a contraction walk, an orbit
     representative built from its signature, and the entries `classify_entries`
-    has already checked.  Every vector that comes in from a caller is checked.
+    has already checked.  `_trusted` stores such a proved vector through its
+    slots and runs no `__init__`.  Every vector that comes in from a caller is
+    checked.
     """
 
     params: SystemParams
@@ -98,10 +100,10 @@ class LatticeVector:
     @classmethod
     def _trusted(cls, params: SystemParams, x: tuple[int, ...]) -> "LatticeVector":
         """A vector of ints the caller has proved to be in J(params)'s lattice;
-        nothing is checked."""
-        v = object.__new__(cls)
-        object.__setattr__(v, "params", params)
-        object.__setattr__(v, "x", x)
+        nothing is checked, and the fields go straight into their slots."""
+        v = _new(cls)
+        _set_params(v, params)
+        _set_x(v, x)
         return v
 
     def __neg__(self) -> "LatticeVector":
@@ -122,6 +124,13 @@ class LatticeVector:
 
     def as_json_dict(self) -> dict:
         return {"k": self.params.k, "n": self.params.n, "x": list(self.x)}
+
+
+# The slots' own member descriptors store a field without the frozen
+# class's __setattr__, at the cost of the store alone.
+_new = object.__new__
+_set_params = LatticeVector.__dict__["params"].__set__
+_set_x = LatticeVector.__dict__["x"].__set__
 
 
 @dataclass(frozen=True, slots=True)

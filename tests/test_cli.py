@@ -262,6 +262,35 @@ def test_time_limit_exit_4():
     assert "time limit" in proc.stdout + proc.stderr
 
 
+@pytest.mark.parametrize("limit", ["inf", "1e300", "nan", "-1"])
+def test_time_limit_refuses_values_it_cannot_keep(capsys, limit):
+    code = main(["check", "3", "8", "2,1,1,1,1,1,1,1", "--time-limit", limit])
+    assert code == 3
+    assert "--time-limit" in capsys.readouterr().err
+
+
+def test_time_limit_zero_means_no_limit(capsys):
+    code, out = run(capsys, "check", "3", "8", "2,1,1,1,1,1,1,1", "--time-limit", "0")
+    assert code == 0
+    assert "real positive, degree 3" in out
+
+
+def test_cli_import_leaves_single_use_modules_out():
+    """The reference tables, json, csv and traceback are each needed by one
+    subcommand or format only; `import jkn.cli` loads none of them beyond
+    what the bare interpreter already has."""
+    probe = (
+        "import sys; before = set(sys.modules); import jkn.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    added = set(proc.stdout.split())
+    assert "jkn.cli" in added
+    assert not added & {"jkn.golden", "json", "csv", "traceback"}
+
+
 def test_selftest_passes(capsys):
     code, out = run(capsys, "selftest")
     assert code == 0

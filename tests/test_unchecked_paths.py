@@ -4,10 +4,17 @@ A negation, the steps of a contraction walk, an orbit representative and
 the entries `classify_entries` has checked are built with
 `LatticeVector._trusted`.  Each is rebuilt here through the public
 constructor, which must accept it and give back an equal vector of ints.
+The walk's `ReductionStep` records are stored slot by slot as well; each
+must equal the one the public constructor builds from the walk's raw steps.
 """
+
+import dataclasses
+
+import pytest
 
 from jkn import (
     LatticeVector,
+    ReductionStep,
     SystemParams,
     classify,
     classify_entries,
@@ -17,6 +24,7 @@ from jkn import (
     gamma,
     reduce_trace,
 )
+from jkn.classify import _walk
 
 DEEP = (gamma(300, SystemParams(3, 602)), delta_family(300, SystemParams(301, 602)))
 
@@ -60,3 +68,57 @@ def test_negated_entries_pass_the_checks():
         assert c.degree == -degree(v)
         assert c.trace.steps[0].before_sort == v
         _recheck_trace(c.trace)
+
+
+def _traces(v):
+    """Every trace the library returns for v and for its negation."""
+    yield reduce_trace(v)
+    yield classify(v).trace
+    yield classify_entries(v.params, v.x).trace
+    yield classify(-v).trace
+    yield classify_entries(v.params, tuple(-e for e in v.x)).trace
+
+
+def _public_steps(v):
+    """v's walk, each step built by the public constructors from the raw record."""
+    raw = []
+    _walk(v.params.k, v.x, raw)
+    return [
+        ReductionStep(
+            before_sort=LatticeVector(v.params, before),
+            sorted=LatticeVector(v.params, srt),
+            r=r,
+            degree_after=d_after,
+        )
+        for before, srt, r, d_after in raw
+    ]
+
+
+def test_trace_steps_equal_the_public_constructor():
+    small = (
+        LatticeVector(SystemParams(3, 8), (2, 1, 1, 1, 1, 1, 1, 1)),
+        LatticeVector(SystemParams(4, 10), (3, 3, 3, 1, 1, 1, 1, 1, 1, 1)),
+    )
+    for v in (*small, *DEEP):
+        expected = _public_steps(v)
+        for trace in _traces(v):
+            assert len(trace.steps) == len(expected)
+            for step, public in zip(trace.steps, expected):
+                assert type(step) is ReductionStep
+                assert step == public
+                assert hash(step) == hash(public)
+                assert repr(step) == repr(public)
+                assert dataclasses.replace(step) == public
+
+
+def test_slot_built_records_stay_frozen():
+    step = reduce_trace(DEEP[0]).steps[1]
+    records = [(step, field.name) for field in dataclasses.fields(ReductionStep)]
+    records += [(step.sorted, "x"), (step.before_sort, "params"), (-DEEP[1], "x")]
+    for record, name in records:
+        before = getattr(record, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, before)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, name)
+        assert getattr(record, name) is before

@@ -23,7 +23,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .errors import ContractError
-from .lattice import LatticeVector, SystemParams, _integer_entries
+from .lattice import LatticeVector, SystemParams, _admit
 
 # Bound once here, so that code which rebinds this module's `LatticeVector`
 # (a profiler's wrapper, say) leaves the unchecked path as it is.  Like
@@ -143,16 +143,21 @@ class ReductionTrace:
     terminal: TerminalKind
 
     def as_json_dict(self) -> dict:
-        label = _TERMINAL_JSON[self.terminal]
-        if self.terminal is TerminalKind.RANGE_VIOLATION and not self.steps:
-            label = "range"
         return {
             "steps": [
                 {"sorted": list(s.sorted.x), "r": s.r, "degree": s.degree_after}
                 for s in self.steps
             ],
-            "terminal": label,
+            "terminal": _terminal_label(self),
         }
+
+
+def _terminal_label(trace: ReductionTrace) -> str:
+    """How the trace ended, as its JSON names it; a range break before any
+    step is "range"."""
+    if trace.terminal is TerminalKind.RANGE_VIOLATION and not trace.steps:
+        return "range"
+    return _TERMINAL_JSON[trace.terminal]
 
 
 @dataclass(frozen=True, slots=True)
@@ -232,11 +237,10 @@ def _walk(
 
 
 def _trace(v: LatticeVector) -> ReductionTrace:
-    """The body of `reduce_trace`, for a vector that passed its checks.
+    """The walk's full record, for a range-valid q = 2 vector of degree >= 1.
 
-    `classify` makes the same checks on its own way to a `Kind`, so both
-    call this and each check runs once per vector.  The step vectors are
-    built unchecked: the walk keeps every vector in the lattice.
+    The step vectors are built unchecked: the walk keeps every vector in the
+    lattice.
     """
     params = v.params
     raw_steps: list[_StepRecord] = []
@@ -259,24 +263,21 @@ def _trace(v: LatticeVector) -> ReductionTrace:
 def reduce_trace(v: LatticeVector) -> ReductionTrace:
     """Full reduction record for a range-valid q = 2 vector of degree >= 1.
 
-    Step 0's ``before_sort`` is ``v`` itself, already validated.  Every
-    later ``before_sort`` (s_beta of a lattice vector) and every ``sorted``
-    (a permutation of one) is proved to lie in the lattice, so these are
-    built without re-running the checks.
+    The degree is checked first, so no walk runs on an input refused here;
+    the range and q checks are those of :func:`classify`, whose trace this
+    is.  Step 0's ``before_sort`` is ``v`` itself.
     """
-    k = v.params.k
-    x = v.x
-    d = sum(x) // k
+    d = sum(v.x) // v.params.k
     if d < 1:
         raise ContractError(f"reduce_trace requires degree >= 1, got degree {d}")
-    if min(x) < 0 or max(x) > d:
+    c = classify(v)
+    if c.kind is Kind.NOT_REAL_RANGE:
         raise ContractError(
             f"reduce_trace requires all entries in [0, {d}] (the degree)"
         )
-    qv = sum(map(mul, x, x)) + (2 - k) * d * d
-    if qv != 2:
-        raise ContractError(f"reduce_trace requires q = 2, got q = {qv}")
-    return _trace(v)
+    if c.kind is Kind.NOT_REAL_Q:
+        raise ContractError(f"reduce_trace requires q = 2, got q = {c.q_value}")
+    return c.trace
 
 
 def classify(v: LatticeVector) -> Classification:
@@ -316,11 +317,7 @@ def classify(v: LatticeVector) -> Classification:
 
 def classify_entries(params: SystemParams, entries: Sequence[int]) -> Classification:
     """Classify raw integer entries, reporting NotInLattice instead of raising."""
-    entries = _integer_entries(entries)
-    if len(entries) != params.n:
-        raise ContractError(
-            f"expected {params.n} coordinates, got {len(entries)}"
-        )
+    entries = _admit(params, entries)
     if sum(entries) % params.k != 0:
         return Classification(Kind.NOT_IN_LATTICE)
     # ints, of the right length, with k | sum: the constructor's own checks

@@ -33,6 +33,7 @@ from .classify import (
     Classification,
     Kind,
     ReductionTrace,
+    _terminal_label,
     classify_entries,
     reduce_trace,
 )
@@ -64,7 +65,6 @@ from .lattice import (
     from_root_basis,
     q,
     to_root_basis,
-    vector_from_entries,
 )
 from .weyl import apply_word, parse_word
 
@@ -145,8 +145,7 @@ def _trace_lines(trace: ReductionTrace, indent: str) -> list[str]:
         f" r={step.r} degree_after={step.degree_after}"
         for i, step in enumerate(trace.steps, start=1)
     ]
-    label = trace.as_json_dict()["terminal"]
-    lines.append(f"{indent}terminal: {_TERMINAL_MESSAGES[label]}")
+    lines.append(f"{indent}terminal: {_TERMINAL_MESSAGES[_terminal_label(trace)]}")
     return lines
 
 
@@ -203,7 +202,7 @@ def _cmd_check(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> tuple[int, str]:
-    v = vector_from_entries(SystemParams(args.k, args.n), _parse_vector(args.vector))
+    v = LatticeVector(SystemParams(args.k, args.n), _parse_vector(args.vector))
     trace = reduce_trace(v)
     lines = [f"input {_vec_str(v.x)} degree {degree(v)}", *_trace_lines(trace, "")]
     return 0, _render(args, trace.as_json_dict(), "\n".join(lines))
@@ -322,13 +321,13 @@ def _cmd_families(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_manin(args: argparse.Namespace) -> tuple[int, str]:
-    v = vector_from_entries(SystemParams(args.k, args.n), _parse_vector(args.vector))
+    v = LatticeVector(SystemParams(args.k, args.n), _parse_vector(args.vector))
     mv = to_manin(v)
     return 0, _render(args, mv.as_json_dict(), f"a = {mv.a}, b = {_vec_str(mv.b)}")
 
 
 def _cmd_profile(args: argparse.Namespace) -> tuple[int, str]:
-    v = vector_from_entries(SystemParams(args.k, args.n), _parse_vector(args.vector))
+    v = LatticeVector(SystemParams(args.k, args.n), _parse_vector(args.vector))
     p = canonical_profile(v)
     plain = "\n".join(rot.plain_str() for rot in cyclic_permutations(p))
     return 0, _render(args, p.as_json_dict(), plain)
@@ -345,7 +344,7 @@ def _cmd_convert(args: argparse.Namespace) -> tuple[int, str]:
             )
         v = from_root_basis(RootCoefficients(params, values[0], values[1:]))
         return 0, _render(args, v.as_json_dict(), _vec_str(v.x))
-    coeffs = to_root_basis(vector_from_entries(params, values))
+    coeffs = to_root_basis(LatticeVector(params, values))
     plain = f"m_beta = {coeffs.m_beta}, m = {_vec_str(coeffs.m)}"
     return 0, _render(args, coeffs.as_json_dict(), plain)
 
@@ -353,7 +352,7 @@ def _cmd_convert(args: argparse.Namespace) -> tuple[int, str]:
 def _cmd_word(args: argparse.Namespace) -> tuple[int, str]:
     params = SystemParams(args.k, args.n)
     word = parse_word(args.word)
-    v = vector_from_entries(params, _parse_vector(args.vector))
+    v = LatticeVector(params, _parse_vector(args.vector))
     result = apply_word(word, v)
     return 0, _render(args, result.as_json_dict(), _vec_str(result.x))
 
@@ -538,9 +537,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     use_alarm = False
     try:
         args = _build_parser().parse_args(argv)
-        use_alarm = args.time_limit > 0 and hasattr(signal, "SIGALRM")
-        if use_alarm:
-            previous = signal.signal(signal.SIGALRM, _raise_time_limit)
+        if args.time_limit > 0 and hasattr(signal, "SIGALRM"):
+            try:
+                previous = signal.signal(signal.SIGALRM, _raise_time_limit)
+            except ValueError:  # the alarm is the main thread's alone
+                raise ContractError(
+                    f"--time-limit {args.time_limit:g} cannot be kept off the main"
+                    " thread; --time-limit 0 turns the limit off"
+                ) from None
+            use_alarm = True
             try:
                 signal.setitimer(signal.ITIMER_REAL, args.time_limit)
             except OverflowError:

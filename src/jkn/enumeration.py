@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat, starmap
 from operator import itemgetter
@@ -43,7 +42,6 @@ __all__ = [
     "count_real_roots",
     "count_almost_real_roots",
     "enumerate_generic",
-    "orbit_size",
 ]
 
 
@@ -117,13 +115,6 @@ class GenericOrbit:
             "degree": self.degree,
             "kind": self.kind.value,
         }
-
-
-def orbit_size(representative: LatticeVector) -> int:
-    """Number of distinct permutations of the representative's entries."""
-    return math.factorial(representative.params.n) // math.prod(
-        map(math.factorial, Counter(representative.x).values())
-    )
 
 
 def _fits(w: int, slots: int, s: int, t: int) -> bool:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ContractError
-from .lattice import LatticeVector, SystemParams, degree
+from .lattice import LatticeVector, SystemParams, _root_coefficients, degree
 
 __all__ = [
     "WeightVector",
@@ -381,12 +381,7 @@ def _weight(
             f"a fundamental weight of {params} has coordinate total {total},"
             f" not divisible by k={k}"
         )
-    d = total // k
-    coeffs = [d]
-    prefix = 0
-    for j in range(1, params.n):
-        prefix += coords[j - 1]
-        coeffs.append(j * d - prefix if j < k else total - prefix)
+    coeffs = _root_coefficients(k, coords, total // k)
     frac = over.__getitem__
     return WeightVector(params, tuple(map(frac, coords)), tuple(map(frac, coeffs)))
 

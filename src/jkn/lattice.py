@@ -17,14 +17,13 @@ quadratic form is
 
     q(x) = x_1^2 + ... + x_n^2 + (2 - k) * deg(x)^2,
 
-an integer for every lattice element.  Everything in this module is exact:
-integers for lattice data, `fractions.Fraction` for the rational Gram data.
+an integer for every lattice element.  Everything in this module is exact
+integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import index, neg
 from typing import Sequence
 
@@ -34,15 +33,11 @@ __all__ = [
     "SystemParams",
     "LatticeVector",
     "RootCoefficients",
-    "GramMatrix",
     "degree",
     "q",
     "inner",
     "to_root_basis",
     "from_root_basis",
-    "cartan_matrix",
-    "gram_e_matrix",
-    "basis_matrix",
     "beta_vector",
     "simple_root",
 ]
@@ -88,10 +83,8 @@ class LatticeVector:
     x: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        x = _integer_entries(self.x)
+        x = _admit(self.params, self.x)
         object.__setattr__(self, "x", x)
-        if len(x) != self.params.n:
-            raise ContractError(f"expected {self.params.n} coordinates, got {len(x)}")
         if sum(x) % self.params.k != 0:
             raise NotInLatticeError(
                 f"coordinate sum {sum(x)} is not divisible by k={self.params.k}"
@@ -164,35 +157,6 @@ class RootCoefficients:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class GramMatrix:
-    """Gram matrix of the inner product on (beta, alpha_1, ..., alpha_{n-1}).
-
-    This is the generalized Cartan matrix of J(k,n): symmetric, diagonal 2,
-    off-diagonal entries 0 or -1.
-    """
-
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.entries)
-        for row in self.entries:
-            if len(row) != n:
-                raise ContractError("Gram matrix must be square")
-        for i in range(n):
-            if self.entries[i][i] != 2:
-                raise ContractError("Gram matrix diagonal must be 2")
-            for j in range(n):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise ContractError("Gram matrix must be symmetric")
-                if i != j and self.entries[i][j] not in (0, -1):
-                    raise ContractError("off-diagonal entries must be 0 or -1")
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-
 def _require_same_params(u: LatticeVector, v: LatticeVector) -> None:
     if u.params != v.params:
         raise ContractError(f"mismatched system parameters {u.params} vs {v.params}")
@@ -228,18 +192,21 @@ def to_root_basis(v: LatticeVector) -> RootCoefficients:
 
     and the coefficient of beta is d itself.
     """
-    k, n = v.params.k, v.params.n
     d = degree(v)
-    m = []
+    m = _root_coefficients(v.params.k, v.x, d)
+    return RootCoefficients(v.params, d, tuple(m[1:]))
+
+
+def _root_coefficients(k: int, x: Sequence[int], d: int) -> list[int]:
+    """Coefficients over (beta, alpha_1, ..., alpha_{n-1}), branch first, of
+    the entries x of degree d, by the formula of :func:`to_root_basis`."""
+    m = [d]
     prefix = 0
-    total = sum(v.x)
-    for j in range(1, n):
-        prefix += v.x[j - 1]
-        if j <= k - 1:
-            m.append(j * d - prefix)
-        else:
-            m.append(total - prefix)
-    return RootCoefficients(v.params, d, tuple(m))
+    total = k * d
+    for j in range(1, len(x)):
+        prefix += x[j - 1]
+        m.append(j * d - prefix if j < k else total - prefix)
+    return m
 
 
 def from_root_basis(c: RootCoefficients) -> LatticeVector:
@@ -277,59 +244,17 @@ def simple_root(params: SystemParams, i: int) -> LatticeVector:
     return LatticeVector(params, tuple(x))
 
 
-def cartan_matrix(params: SystemParams) -> GramMatrix:
-    """Gram matrix of `inner` on the ordered basis (beta, alpha_1, ...)."""
-    basis = [beta_vector(params)] + [
-        simple_root(params, i) for i in range(1, params.n)
-    ]
-    entries = tuple(
-        tuple(inner(u, v) for v in basis) for u in basis
-    )
-    return GramMatrix(entries)
-
-
-def gram_e_matrix(params: SystemParams) -> tuple[tuple[Fraction, ...], ...]:
-    """Gram matrix of the inner product in the basis e_1, ..., e_n.
-
-    Equals I - ((k-2)/k^2) * J with J the all-ones matrix; exact rationals.
-    """
-    k, n = params.k, params.n
-    off = -Fraction(k - 2, k * k)
-    diag = 1 + off
-    return tuple(
-        tuple(diag if i == j else off for j in range(n)) for i in range(n)
-    )
-
-
-def basis_matrix(params: SystemParams) -> tuple[tuple[int, ...], ...]:
-    """Matrix C whose columns are the e-coordinates of (beta, alpha_1, ...).
-
-    C maps root-basis coefficient vectors to e-coordinates.
-    """
-    k, n = params.k, params.n
-    cols: list[list[int]] = []
-    cols.append([1 if i < k else 0 for i in range(n)])
-    for j in range(1, n):
-        col = [0] * n
-        col[j - 1] = -1
-        col[j] = 1
-        cols.append(col)
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-
-
-def _integer_entries(entries: Sequence[int]) -> tuple[int, ...]:
-    """Entries as a tuple of ints; anything that is not an integer is refused.
+def _admit(params: SystemParams, entries: Sequence[int]) -> tuple[int, ...]:
+    """Entries as a tuple of n ints, or ContractError; lattice membership is
+    the caller's to check.
 
     Python ints, bools and numpy integers pass (``operator.index``); floats,
-    even integral ones, and strings raise ContractError.
+    even integral ones, and strings do not.
     """
     try:
-        return tuple(map(index, entries))
+        x = tuple(map(index, entries))
     except TypeError:
         raise ContractError("coordinates must be integers") from None
-
-
-def vector_from_entries(params: SystemParams, entries: Sequence[int]) -> LatticeVector:
-    """Build a LatticeVector from raw entries, with full validation: the
-    same as ``LatticeVector(params, entries)``."""
-    return LatticeVector(params, entries)
+    if len(x) != params.n:
+        raise ContractError(f"expected {params.n} coordinates, got {len(x)}")
+    return x

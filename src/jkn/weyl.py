@@ -17,14 +17,13 @@ Words are plain sequences of generators applied eagerly, first letter first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 from .errors import ContractError
 from .lattice import LatticeVector
 
 __all__ = [
     "S_BETA",
-    "Letter",
     "WeylWord",
     "apply_s_i",
     "apply_s_beta",
@@ -117,7 +116,3 @@ def parse_word(text: str) -> WeylWord:
 
 def format_word(w: WeylWord) -> str:
     return ",".join(str(ell) for ell in w.letters)
-
-
-def word_from(letters: Iterable[Letter]) -> WeylWord:
-    return WeylWord(tuple(letters))

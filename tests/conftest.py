@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from hypothesis import HealthCheck, settings, strategies as st
 
@@ -12,9 +13,11 @@ from jkn import (
     OrbitKind,
     ResourceLimitError,
     SystemParams,
+    beta_vector,
     enumerate_orbits,
+    inner,
     is_finite_type,
-    vector_from_entries,
+    simple_root,
 )
 
 settings.register_profile(
@@ -47,7 +50,43 @@ def params_and_vector(draw, min_k=1, max_k=5, max_n=9, max_abs=6):
         )
     )
     entries[-1] += (-sum(entries)) % params.k
-    return params, vector_from_entries(params, tuple(entries))
+    return params, LatticeVector(params, tuple(entries))
+
+
+def cartan_matrix(params: SystemParams) -> tuple[tuple[int, ...], ...]:
+    """Gram matrix of `inner` on the ordered basis (beta, alpha_1, ...)."""
+    basis = [beta_vector(params)] + [
+        simple_root(params, i) for i in range(1, params.n)
+    ]
+    return tuple(tuple(inner(u, v) for v in basis) for u in basis)
+
+
+def gram_e_matrix(params: SystemParams) -> tuple[tuple[Fraction, ...], ...]:
+    """Gram matrix of the inner product in the basis e_1, ..., e_n.
+
+    Equals I - ((k-2)/k^2) * J with J the all-ones matrix; exact rationals.
+    """
+    k, n = params.k, params.n
+    off = -Fraction(k - 2, k * k)
+    diag = 1 + off
+    return tuple(
+        tuple(diag if i == j else off for j in range(n)) for i in range(n)
+    )
+
+
+def basis_matrix(params: SystemParams) -> tuple[tuple[int, ...], ...]:
+    """Matrix C whose columns are the e-coordinates of (beta, alpha_1, ...).
+
+    C maps root-basis coefficient vectors to e-coordinates.
+    """
+    k, n = params.k, params.n
+    cols = [[1 if i < k else 0 for i in range(n)]]
+    for j in range(1, n):
+        col = [0] * n
+        col[j - 1] = -1
+        col[j] = 1
+        cols.append(col)
+    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
 def all_candidates(k: int, n: int, d: int) -> list[tuple[int, ...]]:

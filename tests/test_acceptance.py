@@ -12,9 +12,11 @@ from fractions import Fraction
 
 from jkn import (
     Kind,
+    LatticeVector,
     OrbitKind,
     Series,
     SystemParams,
+    WeylWord,
     affine_family,
     apply_s_beta,
     apply_s_i,
@@ -40,8 +42,6 @@ from jkn import (
     sum_of_positive_roots,
     to_manin,
     to_root_basis,
-    vector_from_entries,
-    word_from,
 )
 from jkn.golden import (
     ALMOST_COUNTS,
@@ -152,7 +152,7 @@ def test_generic_k5_degree11_real_orbit_certificate():
     minus_beta = -beta_vector(p)
     real = set()
     for x in _sorted_candidates(n, k * d, 2 + (k - 2) * d * d, d):
-        v = vector_from_entries(p, x)
+        v = LatticeVector(p, x)
         # a real walk drops the degree by at least one per step, 11 to -1
         for _ in range(d + 2):
             if v == minus_beta:
@@ -256,7 +256,7 @@ def _random_system(rng, max_k=5, max_n=9):
 def _random_vector(rng, params, spread=6):
     entries = [rng.randint(-spread, spread) for _ in range(params.n)]
     entries[-1] += (-sum(entries)) % params.k
-    return vector_from_entries(params, tuple(entries))
+    return LatticeVector(params, tuple(entries))
 
 
 def test_criterion_7_property_suites():
@@ -271,7 +271,7 @@ def test_criterion_7_property_suites():
             "b" if rng.random() < 0.3 else rng.randint(1, p.n - 1)
             for _ in range(rng.randint(0, 50))
         ]
-        ok = ok and q(apply_word(word_from(letters), v)) == q(v)
+        ok = ok and q(apply_word(WeylWord(letters), v)) == q(v)
     suites["q invariance under words"] = ok
 
     ok = True
@@ -333,7 +333,7 @@ def test_criterion_7_property_suites():
         rep = rng.choice(pool)
         entries = list(rep.x)
         rng.shuffle(entries)
-        trace = reduce_trace(vector_from_entries(rep.params, tuple(entries)))
+        trace = reduce_trace(LatticeVector(rep.params, tuple(entries)))
         ok = ok and len(trace.steps) <= degree(rep)
     suites["trace length <= degree"] = ok
 
@@ -394,7 +394,7 @@ def test_criterion_8_correspondence_tables():
     seen = 0
     for entries, a in root_rows:
         for sign in (1, -1):
-            v = vector_from_entries(p38, tuple(sign * c for c in entries))
+            v = LatticeVector(p38, tuple(sign * c for c in entries))
             mv = to_manin(v)
             ok = ok and mv.a == sign * a
             ok = ok and mv.b == tuple(sign * c for c in entries)
@@ -426,12 +426,12 @@ def test_criterion_9_cluster_round_trip():
             for t in itertools.product(range(d + 1), repeat=n):
                 if sum(t) != 3 * d:
                     continue
-                v = vector_from_entries(p, t)
+                v = LatticeVector(p, t)
                 prof = canonical_profile(v)
                 ok = ok and phi(prof) == v and is_canonical(prof)
                 checked += 1
     example = canonical_profile(
-        vector_from_entries(SystemParams(3, 8), (2, 1, 1, 1, 1, 1, 1, 1))
+        LatticeVector(SystemParams(3, 8), (2, 1, 1, 1, 1, 1, 1, 1))
     )
     ok = ok and example.plain_str() == "258|147|136"
     _report(9, ok, f"{checked} vectors round-tripped")

@@ -22,7 +22,6 @@ from jkn import (
     is_finite_type,
     q,
     reduce_trace,
-    vector_from_entries,
 )
 from jkn.classify import TerminalKind, _walk
 
@@ -96,7 +95,7 @@ def test_entries_must_be_integers():
     p = SystemParams(3, 8)
     for bad in (2.5, 2.0, "2"):
         entries = (bad, 1, 1, 1, 1, 1, 1, 1)
-        for build in (classify_entries, vector_from_entries):
+        for build in (classify_entries, LatticeVector):
             with pytest.raises(ContractError, match="coordinates must be integers"):
                 build(p, entries)
 
@@ -106,7 +105,7 @@ def test_integer_types_pass():
     np = pytest.importorskip("numpy")
     entries = (np.int64(2), True, 1, 1, 1, 1, 1, 1)
     assert classify_entries(p, entries).kind is Kind.REAL_POSITIVE
-    v = vector_from_entries(p, entries)
+    v = LatticeVector(p, entries)
     assert v.x == (2, 1, 1, 1, 1, 1, 1, 1)
     assert all(type(c) is int for c in v.x)
 
@@ -129,11 +128,15 @@ def test_beta_trace_is_one_step():
 def test_reduce_trace_preconditions():
     p = SystemParams(3, 6)
     with pytest.raises(ContractError, match="degree"):
-        reduce_trace(vector_from_entries(p, (1, 0, 0, -1, 0, 0)))
+        reduce_trace(LatticeVector(p, (1, 0, 0, -1, 0, 0)))
     with pytest.raises(ContractError, match="entries in"):
-        reduce_trace(vector_from_entries(p, (4, -1, 0, 0, 0, 0)))
+        reduce_trace(LatticeVector(p, (4, -1, 0, 0, 0, 0)))
     with pytest.raises(ContractError, match="q = 2"):
-        reduce_trace(vector_from_entries(p, (2, 2, 2, 0, 0, 0)))
+        reduce_trace(LatticeVector(p, (2, 2, 2, 0, 0, 0)))
+    # refused on its degree before any walk, though its negation is a root
+    root = LatticeVector(SystemParams(3, 8), (2, 1, 1, 1, 1, 1, 1, 1))
+    with pytest.raises(ContractError, match="degree"):
+        reduce_trace(-root)
 
 
 def test_sorted_candidate_agrees_with_classify():
@@ -191,12 +194,12 @@ def _word_root(rng, p, rounds):
     for _ in range(rounds):
         x = list(v.x)
         rng.shuffle(x)
-        w = apply_s_beta(vector_from_entries(p, x))
+        w = apply_s_beta(LatticeVector(p, x))
         if degree(w) > degree(v):
             v = w
     x = list(v.x)
     rng.shuffle(x)
-    return vector_from_entries(p, x)
+    return LatticeVector(p, x)
 
 
 def _assert_trace_chain(v):
@@ -254,7 +257,7 @@ def test_trace_length_bounded_by_degree():
         rep = rng.choice(pool)
         entries = list(rep.x)
         rng.shuffle(entries)
-        trace = reduce_trace(vector_from_entries(rep.params, tuple(entries)))
+        trace = reduce_trace(LatticeVector(rep.params, tuple(entries)))
         assert len(trace.steps) <= degree(rep)
 
 

@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -273,6 +274,27 @@ def test_time_limit_zero_means_no_limit(capsys):
     code, out = run(capsys, "check", "3", "8", "2,1,1,1,1,1,1,1", "--time-limit", "0")
     assert code == 0
     assert "real positive, degree 3" in out
+
+
+def test_time_limit_off_the_main_thread(capsys):
+    """The alarm behind --time-limit belongs to the main thread: elsewhere a
+    limit is a usage error naming --time-limit 0, and that runs."""
+    results = []
+
+    def call(*extra):
+        try:
+            results.append(main(["check", "3", "8", "2,1,1,1,1,1,1,1", *extra]))
+        except BaseException as exc:  # nothing may escape main
+            results.append(exc)
+
+    for extra in ((), ("--time-limit", "0")):
+        worker = threading.Thread(target=call, args=extra)
+        worker.start()
+        worker.join()
+    assert results == [3, 0]
+    captured = capsys.readouterr()
+    assert "--time-limit 0" in captured.err
+    assert "real positive, degree 3" in captured.out
 
 
 def test_cli_import_leaves_single_use_modules_out():

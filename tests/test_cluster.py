@@ -6,6 +6,7 @@ import pytest
 
 from jkn import (
     ContractError,
+    LatticeVector,
     Profile,
     SystemParams,
     canonical_profile,
@@ -13,12 +14,11 @@ from jkn import (
     is_canonical,
     is_weakly_column_decreasing,
     phi,
-    vector_from_entries,
 )
 
 
 def test_canonical_profile_frozen():
-    v = vector_from_entries(SystemParams(3, 8), (2, 1, 1, 1, 1, 1, 1, 1))
+    v = LatticeVector(SystemParams(3, 8), (2, 1, 1, 1, 1, 1, 1, 1))
     p = canonical_profile(v)
     assert p.rows == ((2, 5, 8), (1, 4, 7), (1, 3, 6))
     assert p.plain_str() == "258|147|136"
@@ -27,7 +27,7 @@ def test_canonical_profile_frozen():
 
 
 def test_degree_two_frozen():
-    v = vector_from_entries(SystemParams(3, 6), (1, 1, 1, 1, 1, 1))
+    v = LatticeVector(SystemParams(3, 6), (1, 1, 1, 1, 1, 1))
     p = canonical_profile(v)
     assert p.plain_str() == "246|135"
     assert is_canonical(p)
@@ -35,7 +35,7 @@ def test_degree_two_frozen():
 
 
 def test_cyclic_permutations_frozen():
-    v = vector_from_entries(SystemParams(3, 8), (2, 1, 1, 1, 1, 1, 1, 1))
+    v = LatticeVector(SystemParams(3, 8), (2, 1, 1, 1, 1, 1, 1, 1))
     rots = cyclic_permutations(canonical_profile(v))
     assert [r.plain_str() for r in rots] == [
         "258|147|136",
@@ -48,7 +48,7 @@ def test_cyclic_permutations_frozen():
 
 
 def test_plain_str_uses_commas_for_wide_systems():
-    v = vector_from_entries(SystemParams(3, 12), (1,) * 3 + (0,) * 9)
+    v = LatticeVector(SystemParams(3, 12), (1,) * 3 + (0,) * 9)
     assert canonical_profile(v).plain_str() == "1,2,3"
 
 
@@ -84,7 +84,7 @@ def test_round_trip_small_exhaustive():
         for t in itertools.product(range(d + 1), repeat=n):
             if sum(t) != k * d:
                 continue
-            v = vector_from_entries(p, t)
+            v = LatticeVector(p, t)
             prof = canonical_profile(v)
             assert phi(prof) == v
             assert is_canonical(prof)
@@ -93,13 +93,13 @@ def test_round_trip_small_exhaustive():
 def test_canonical_profile_preconditions():
     p = SystemParams(3, 6)
     with pytest.raises(ContractError):
-        canonical_profile(vector_from_entries(p, (1, 0, 0, -1, 0, 0)))
+        canonical_profile(LatticeVector(p, (1, 0, 0, -1, 0, 0)))
     with pytest.raises(ContractError):
-        canonical_profile(vector_from_entries(p, (4, -1, 0, 0, 0, 0)))
+        canonical_profile(LatticeVector(p, (4, -1, 0, 0, 0, 0)))
 
 
 def test_rank_and_json():
-    v = vector_from_entries(SystemParams(3, 8), (2, 1, 1, 1, 1, 1, 1, 1))
+    v = LatticeVector(SystemParams(3, 8), (2, 1, 1, 1, 1, 1, 1, 1))
     prof = canonical_profile(v)
     assert prof.rank == 3
     assert prof.as_json_dict() == {

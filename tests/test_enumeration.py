@@ -8,6 +8,7 @@ import pytest
 from conftest import all_candidates, bruteforce_positive_real_roots
 from jkn import (
     ContractError,
+    LatticeVector,
     OrbitKind,
     SystemParams,
     count_almost_real_roots,
@@ -17,9 +18,7 @@ from jkn import (
     enumerate_orbits,
     extend,
     minimal_support,
-    orbit_size,
     q,
-    vector_from_entries,
 )
 from jkn.golden import (
     ALMOST_COUNTS,
@@ -39,19 +38,29 @@ def test_single_orbit_frozen():
     assert oc.orbit_size == 72
 
 
+def _orbit_of(v):
+    """The class `enumerate_orbits` returns for the representative v."""
+    (oc,) = [
+        oc
+        for oc in enumerate_orbits(v.params, degree(v))
+        if oc.representative == v
+    ]
+    return oc
+
+
 def test_orbit_size_frozen():
-    assert orbit_size(
-        vector_from_entries(SystemParams(3, 8), (2, 1, 1, 1, 1, 1, 1, 1))
-    ) == 8
-    assert orbit_size(
-        vector_from_entries(SystemParams(3, 9), (1, 1, 1, 0, 0, 0, 0, 0, 0))
-    ) == 84
+    assert _orbit_of(
+        LatticeVector(SystemParams(3, 8), (2, 1, 1, 1, 1, 1, 1, 1))
+    ).orbit_size == 8
+    assert _orbit_of(
+        LatticeVector(SystemParams(3, 9), (1, 1, 1, 0, 0, 0, 0, 0, 0))
+    ).orbit_size == 84
 
 
 def test_orbit_size_is_multinomial():
     p = SystemParams(4, 10)
-    v = vector_from_entries(p, (3, 3, 3, 1, 1, 1, 1, 1, 1, 1))
-    assert orbit_size(v) == math.factorial(10) // (
+    v = LatticeVector(p, (3, 3, 3, 1, 1, 1, 1, 1, 1, 1))
+    assert _orbit_of(v).orbit_size == math.factorial(10) // (
         math.factorial(3) * math.factorial(7)
     )
 
@@ -278,7 +287,7 @@ def test_generic_core_bounds():
             assert g.core[lead : lead + 1] != (d,)
             assert minimal_support(g.specialize(host)) == (
                 g.core_params,
-                vector_from_entries(g.core_params, g.core),
+                LatticeVector(g.core_params, g.core),
             )
 
 
@@ -313,24 +322,24 @@ def test_specialize_rejects_small_hosts():
 
 def test_minimal_support_frozen():
     p, core = minimal_support(
-        vector_from_entries(SystemParams(3, 9), (2, 1, 1, 1, 1, 1, 1, 1, 0))
+        LatticeVector(SystemParams(3, 9), (2, 1, 1, 1, 1, 1, 1, 1, 0))
     )
     assert (p.k, p.n) == (3, 8)
     assert core.x == (2, 1, 1, 1, 1, 1, 1, 1)
     p, core = minimal_support(
-        vector_from_entries(SystemParams(3, 6), (1, 1, 1, 0, 0, 0))
+        LatticeVector(SystemParams(3, 6), (1, 1, 1, 0, 0, 0))
     )
     assert (p.k, p.n) == (1, 1)
     assert core.x == (1,)
     # trailing zeros strip without touching the leading block
     p, core = minimal_support(
-        vector_from_entries(SystemParams(4, 10), (2, 2, 2, 2, 1, 1, 1, 1, 0, 0))
+        LatticeVector(SystemParams(4, 10), (2, 2, 2, 2, 1, 1, 1, 1, 0, 0))
     )
     assert (p.k, p.n) == (4, 8)
     assert core.x == (2, 2, 2, 2, 1, 1, 1, 1)
     # a leading entry equal to the degree strips and lowers k
     p, core = minimal_support(
-        vector_from_entries(SystemParams(4, 7), (2, 1, 1, 1, 1, 1, 1))
+        LatticeVector(SystemParams(4, 7), (2, 1, 1, 1, 1, 1, 1))
     )
     assert (p.k, p.n) == (3, 6)
     assert core.x == (1, 1, 1, 1, 1, 1)

@@ -8,13 +8,12 @@ from hypothesis import given
 from jkn import (
     ContractError,
     Kind,
+    LatticeVector,
     Series,
     SystemParams,
     affine_delta,
     affine_family,
-    basis_matrix,
     beta_vector,
-    cartan_matrix,
     classify,
     definiteness_margin,
     degree,
@@ -29,10 +28,14 @@ from jkn import (
     simple_root,
     sum_of_positive_roots,
     to_manin,
-    vector_from_entries,
 )
 
-from conftest import enumerated_sum_of_positive_roots, params_and_vector
+from conftest import (
+    basis_matrix,
+    cartan_matrix,
+    enumerated_sum_of_positive_roots,
+    params_and_vector,
+)
 
 F = Fraction
 
@@ -41,7 +44,7 @@ F = Fraction
 
 
 def test_dualize_frozen():
-    v = vector_from_entries(SystemParams(3, 8), (2, 1, 1, 1, 1, 1, 1, 1))
+    v = LatticeVector(SystemParams(3, 8), (2, 1, 1, 1, 1, 1, 1, 1))
     w = dualize(v)
     assert (w.params.k, w.params.n) == (5, 8)
     assert w.x == (2, 2, 2, 2, 2, 2, 2, 1)
@@ -50,7 +53,7 @@ def test_dualize_frozen():
 
 def test_dualize_needs_smaller_k():
     with pytest.raises(ContractError):
-        dualize(vector_from_entries(SystemParams(2, 2), (1, 1)))
+        dualize(LatticeVector(SystemParams(2, 2), (1, 1)))
 
 
 @given(params_and_vector(max_k=4, max_n=9))
@@ -373,7 +376,7 @@ def _invert_exact(matrix):
 
 def _cartan_inverse_weights(p):
     """(coords, root_coeffs) per weight: inverse Cartan columns mapped by C."""
-    inv = _invert_exact([[F(c) for c in row] for row in cartan_matrix(p).entries])
+    inv = _invert_exact([[F(c) for c in row] for row in cartan_matrix(p)])
     basis = basis_matrix(p)
     n = p.n
     weights = []
@@ -503,7 +506,7 @@ def test_to_manin_root_rows():
         ((2, 1, 1, 1, 1, 1, 1, 1), 3),
     ]
     for entries, a in rows:
-        v = vector_from_entries(p, entries)
+        v = LatticeVector(p, entries)
         mv = to_manin(v)
         assert mv.a == a and mv.b == entries
         neg = to_manin(-v)
@@ -514,7 +517,7 @@ def test_to_manin_root_rows():
 def test_to_manin_square_is_minus_two_on_roots():
     p = SystemParams(3, 8)
     for entries in [(1, 1, 1, 0, 0, 0, 0, 0), (2, 1, 1, 1, 1, 1, 1, 1)]:
-        mv = to_manin(vector_from_entries(p, entries))
+        mv = to_manin(LatticeVector(p, entries))
         assert mv.a ** 2 - sum(c * c for c in mv.b) == -2
 
 

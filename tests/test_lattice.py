@@ -11,20 +11,22 @@ from jkn import (
     NotInLatticeError,
     RootCoefficients,
     SystemParams,
-    basis_matrix,
     beta_vector,
-    cartan_matrix,
     degree,
     from_root_basis,
-    gram_e_matrix,
     inner,
     q,
     simple_root,
     to_root_basis,
-    vector_from_entries,
 )
 
-from conftest import params_and_vector, params_strategy
+from conftest import (
+    basis_matrix,
+    cartan_matrix,
+    gram_e_matrix,
+    params_and_vector,
+    params_strategy,
+)
 
 
 def test_system_params_validation():
@@ -38,10 +40,10 @@ def test_system_params_validation():
 def test_membership_checks():
     p = SystemParams(3, 8)
     with pytest.raises(NotInLatticeError):
-        vector_from_entries(p, (1,) * 8)  # sum 8, not divisible by 3
+        LatticeVector(p, (1,) * 8)  # sum 8, not divisible by 3
     with pytest.raises(ContractError):
-        vector_from_entries(p, (1, 1, 1))  # wrong length
-    v = vector_from_entries(p, (2, 1, 1, 1, 1, 1, 1, 1))
+        LatticeVector(p, (1, 1, 1))  # wrong length
+    v = LatticeVector(p, (2, 1, 1, 1, 1, 1, 1, 1))
     assert degree(v) == 3
 
 
@@ -79,22 +81,22 @@ def test_beta_and_simple_roots():
 
 def test_q_frozen_values():
     p = SystemParams(3, 8)
-    assert q(vector_from_entries(p, (2, 1, 1, 1, 1, 1, 1, 1))) == 2
-    assert q(vector_from_entries(p, (3, 3, 3, 0, 0, 0, 0, 0))) == 18
+    assert q(LatticeVector(p, (2, 1, 1, 1, 1, 1, 1, 1))) == 2
+    assert q(LatticeVector(p, (3, 3, 3, 0, 0, 0, 0, 0))) == 18
     p4 = SystemParams(4, 10)
-    assert q(vector_from_entries(p4, (3, 3, 3, 1, 1, 1, 1, 1, 1, 1))) == 2
+    assert q(LatticeVector(p4, (3, 3, 3, 1, 1, 1, 1, 1, 1, 1))) == 2
 
 
 def test_q_on_affine_null():
     # the (4,8) null vector has q = 0
     p = SystemParams(4, 8)
-    assert q(vector_from_entries(p, (1,) * 8)) == 0
+    assert q(LatticeVector(p, (1,) * 8)) == 0
 
 
 def test_cartan_matrix_d4():
     # branch node attached to the middle of a 3-chain
     c = cartan_matrix(SystemParams(2, 4))
-    assert c.entries == (
+    assert c == (
         (2, 0, -1, 0),
         (0, 2, -1, 0),
         (-1, -1, 2, -1),
@@ -103,18 +105,28 @@ def test_cartan_matrix_d4():
 
 
 def test_cartan_matches_inner_products():
-    for p in (SystemParams(3, 6), SystemParams(4, 8), SystemParams(2, 5)):
-        basis = [beta_vector(p)] + [simple_root(p, i) for i in range(1, p.n)]
-        c = cartan_matrix(p)
-        for i, u in enumerate(basis):
-            for j, v in enumerate(basis):
-                assert c.entries[i][j] == inner(u, v)
+    """The inner products of (beta, alpha_1, ...) form the generalized Cartan
+    matrix of the T-shaped diagram: square, symmetric, diagonal 2,
+    off-diagonal 0 or -1, with beta joined to alpha_k and alpha_i to
+    alpha_{i+1} only."""
+    for n in range(2, 13):
+        for k in range(1, n + 1):
+            c = cartan_matrix(SystemParams(k, n))
+            assert len(c) == n and all(len(row) == n for row in c)
+            for i in range(n):
+                assert c[i][i] == 2
+                for j in range(n):
+                    assert c[i][j] == c[j][i]
+                    if i != j:
+                        assert c[i][j] in (0, -1)
+                        joined = abs(i - j) == 1 if i and j else i + j == k
+                        assert (c[i][j] == -1) == joined, (k, n, i, j)
 
 
 def test_gram_e_matrix_reproduces_q():
     p = SystemParams(3, 6)
     g = gram_e_matrix(p)
-    v = vector_from_entries(p, (2, 1, 1, 1, 1, 0))
+    v = LatticeVector(p, (2, 1, 1, 1, 1, 0))
     expect = sum(
         g[i][j] * v.x[i] * v.x[j] for i in range(p.n) for j in range(p.n)
     )
@@ -131,7 +143,7 @@ def test_basis_matrix_columns_are_basis_vectors():
 
 def test_root_basis_frozen_example():
     p = SystemParams(3, 8)
-    coeffs = to_root_basis(vector_from_entries(p, (2, 1, 1, 1, 1, 1, 1, 1)))
+    coeffs = to_root_basis(LatticeVector(p, (2, 1, 1, 1, 1, 1, 1, 1)))
     assert coeffs.m_beta == 3
     assert coeffs.m == (1, 3, 5, 4, 3, 2, 1)
     back = from_root_basis(coeffs)
@@ -160,7 +172,7 @@ def test_q_is_inner_with_self(pv):
 @given(params_and_vector())
 def test_inner_symmetric_and_bilinear(pv):
     p, v = pv
-    w = vector_from_entries(p, tuple(reversed(v.x)))
+    w = LatticeVector(p, tuple(reversed(v.x)))
     assert inner(v, w) == inner(w, v)
     assert inner(v + w, v) == inner(v, v) + inner(w, v)
 

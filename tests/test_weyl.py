@@ -5,7 +5,9 @@ from hypothesis import given, strategies as st
 
 from jkn import (
     ContractError,
+    LatticeVector,
     SystemParams,
+    WeylWord,
     apply_s_beta,
     apply_s_i,
     apply_word,
@@ -14,8 +16,6 @@ from jkn import (
     format_word,
     parse_word,
     q,
-    vector_from_entries,
-    word_from,
 )
 
 from conftest import params_and_vector
@@ -30,20 +30,20 @@ def vector_and_word(draw, max_len=50):
             max_size=max_len,
         )
     )
-    return v, word_from(letters)
+    return v, WeylWord(letters)
 
 
 def test_s_beta_frozen():
     p = SystemParams(3, 6)
     b = beta_vector(p)
     assert apply_s_beta(b).x == (-1, -1, -1, 0, 0, 0)
-    v = vector_from_entries(SystemParams(4, 10), (3, 3, 3, 1, 1, 1, 1, 1, 1, 1))
+    v = LatticeVector(SystemParams(4, 10), (3, 3, 3, 1, 1, 1, 1, 1, 1, 1))
     assert apply_s_beta(v).x == (1, 1, 1, -1, 1, 1, 1, 1, 1, 1)
 
 
 def test_s_i_swaps():
     p = SystemParams(3, 6)
-    v = vector_from_entries(p, (2, 1, 0, 0, 0, 0))
+    v = LatticeVector(p, (2, 1, 0, 0, 0, 0))
     assert apply_s_i(1, v).x == (1, 2, 0, 0, 0, 0)
     with pytest.raises(ContractError):
         apply_s_i(6, v)
@@ -53,7 +53,7 @@ def test_s_i_swaps():
 
 def test_dec_sorts():
     p = SystemParams(3, 6)
-    v = vector_from_entries(p, (0, 2, 1, 0, -1, 1))
+    v = LatticeVector(p, (0, 2, 1, 0, -1, 1))
     assert dec(v).x == (2, 1, 1, 0, 0, -1)
 
 

@@ -6,134 +6,30 @@ for d = (sum x_i)/k.  The package classifies lattice vectors (real,
 almost real, or neither), enumerates orbit classes degree by degree,
 computes fundamental weights for the finite types, and builds the named
 root families that organize the infinite cases.
+
+The public names are each submodule's ``__all__`` and the three error
+types.
 """
 
-from .classify import (
-    Classification,
-    Kind,
-    ReductionStep,
-    ReductionTrace,
-    TerminalKind,
-    classify,
-    classify_entries,
-    reduce_trace,
-)
-from .cluster import (
-    Profile,
-    canonical_profile,
-    cyclic_permutations,
-    is_canonical,
-    is_weakly_column_decreasing,
-    phi,
-)
-from .enumeration import (
-    GenericOrbit,
-    OrbitClass,
-    OrbitKind,
-    count_almost_real_roots,
-    count_real_roots,
-    enumerate_generic,
-    enumerate_orbits,
-)
+# The modules are bound before the star imports, which rebind `classify`
+# from the submodule to the function of that name.
+from . import classify as _classify
+from . import cluster as _cluster
+from . import enumeration as _enumeration
+from . import families as _families
+from . import lattice as _lattice
+from . import weyl as _weyl
+from .classify import *  # noqa: F401,F403
+from .cluster import *  # noqa: F401,F403
+from .enumeration import *  # noqa: F401,F403
 from .errors import ContractError, NotInLatticeError, ResourceLimitError
-from .families import (
-    ManinVector,
-    Series,
-    WeightVector,
-    affine_delta,
-    affine_family,
-    definiteness_margin,
-    delta_family,
-    dualize,
-    extend,
-    fundamental_weights,
-    gamma,
-    is_finite_type,
-    minimal_support,
-    sum_of_positive_roots,
-    to_manin,
-)
-from .lattice import (
-    LatticeVector,
-    RootCoefficients,
-    SystemParams,
-    beta_vector,
-    degree,
-    from_root_basis,
-    inner,
-    q,
-    simple_root,
-    to_root_basis,
-)
-from .weyl import (
-    S_BETA,
-    WeylWord,
-    apply_s_beta,
-    apply_s_i,
-    apply_word,
-    dec,
-    format_word,
-    parse_word,
-)
+from .families import *  # noqa: F401,F403
+from .lattice import *  # noqa: F401,F403
+from .weyl import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Classification",
-    "ContractError",
-    "GenericOrbit",
-    "Kind",
-    "LatticeVector",
-    "ManinVector",
-    "NotInLatticeError",
-    "OrbitClass",
-    "OrbitKind",
-    "Profile",
-    "ReductionStep",
-    "ReductionTrace",
-    "ResourceLimitError",
-    "RootCoefficients",
-    "S_BETA",
-    "Series",
-    "SystemParams",
-    "TerminalKind",
-    "WeightVector",
-    "WeylWord",
-    "affine_delta",
-    "affine_family",
-    "apply_s_beta",
-    "apply_s_i",
-    "apply_word",
-    "beta_vector",
-    "canonical_profile",
-    "classify",
-    "classify_entries",
-    "count_almost_real_roots",
-    "count_real_roots",
-    "cyclic_permutations",
-    "dec",
-    "definiteness_margin",
-    "degree",
-    "delta_family",
-    "dualize",
-    "enumerate_generic",
-    "enumerate_orbits",
-    "extend",
-    "format_word",
-    "from_root_basis",
-    "fundamental_weights",
-    "gamma",
-    "inner",
-    "is_canonical",
-    "is_finite_type",
-    "is_weakly_column_decreasing",
-    "minimal_support",
-    "parse_word",
-    "phi",
-    "q",
-    "reduce_trace",
-    "simple_root",
-    "sum_of_positive_roots",
-    "to_manin",
-    "to_root_basis",
-]
+__all__ = ["ContractError", "NotInLatticeError", "ResourceLimitError"]
+for _module in (_classify, _cluster, _enumeration, _families, _lattice, _weyl):
+    __all__ += _module.__all__
+del _module

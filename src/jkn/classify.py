@@ -70,23 +70,19 @@ class Kind(str, enum.Enum):
 class TerminalKind(str, enum.Enum):
     """How a reduction trace ended.
 
-    The iteration itself terminates by reaching -beta, breaking the range
-    condition, or (defensively; unreachable for q = 2 inputs) hitting an
-    all-nonpositive vector other than -beta.  Q_VIOLATION marks the
-    zero-step trace attached when a degree >= 1 input fails q = 2 before
-    the iteration starts.
+    The iteration itself terminates by reaching -beta or by breaking the
+    range condition.  Q_VIOLATION marks the zero-step trace attached when a
+    degree >= 1 input fails q = 2 before the iteration starts.
     """
 
     REACHED_MINUS_BETA = "REACHED_MINUS_BETA"
     RANGE_VIOLATION = "RANGE_VIOLATION"
-    ALL_NONPOSITIVE = "ALL_NONPOSITIVE"
     Q_VIOLATION = "Q_VIOLATION"
 
 
 _TERMINAL_JSON = {
     TerminalKind.REACHED_MINUS_BETA: "real",
     TerminalKind.RANGE_VIOLATION: "almost",
-    TerminalKind.ALL_NONPOSITIVE: "nonpositive",
     TerminalKind.Q_VIOLATION: "q",
 }
 
@@ -220,11 +216,19 @@ def _walk(
         hi = max(head[0], tail[0]) if tail else head[0]
         lo = min(head[-1], tail[-1]) if tail else head[-1]
         if hi <= 0:
+            # The input s had entries in [0, d], so an all-nonpositive output
+            # has an all-zero tail and r = -2d.  Then the head sums to k*d and
+            # q = sum s_i^2 - (k-2) d^2 >= k d^2 - (k-2) d^2 = 2 d^2, with
+            # equality only when the head is constant: q = 2 forces d = 1 and
+            # s = beta, whose output is -beta.  Any other end breaks the
+            # caller's guarantee.
             if head[0] == head[-1] == -1 and (not tail or tail[-1] == 0):
                 terminal = TerminalKind.REACHED_MINUS_BETA
-            else:
-                terminal = TerminalKind.ALL_NONPOSITIVE
-            break
+                break
+            raise RuntimeError(
+                f"the walk reached the nonpositive vector {tuple(head + tail)},"
+                " not -beta: its input broke the range or q = 2 precondition"
+            )
         if lo < 0 or hi > d:
             terminal = TerminalKind.RANGE_VIOLATION
             break
@@ -309,8 +313,7 @@ def classify(v: LatticeVector) -> Classification:
     if full.terminal is TerminalKind.REACHED_MINUS_BETA:
         kind = Kind.REAL_POSITIVE
     else:
-        # Range break, or the defensive all-nonpositive end: conditions (1)
-        # and (2) held but the orbit of beta was not reached.
+        # a range break: conditions (1) and (2) held but the walk broke (1)
         kind = Kind.ALMOST_REAL_POSITIVE
     return Classification(kind, trace=full, degree=d)
 

@@ -96,7 +96,6 @@ _TERMINAL_MESSAGES = {
     "almost": "range violation",
     "range": "range violation before any step",
     "q": "q violation",
-    "nonpositive": "all entries nonpositive",
 }
 
 
@@ -175,13 +174,11 @@ def _render(
 def _cmd_check(args: argparse.Namespace) -> tuple[int, str]:
     params = SystemParams(args.k, args.n)
     vectors = [_parse_vector(text) for text in args.vectors]
-    worst = 0
-    lines: list[str] = []
-    blobs: list[dict] = []
-    for entries in vectors:
-        c = classify_entries(params, entries)
-        worst = max(worst, _exit_code(c))
-        blobs.append(
+    results = [(entries, classify_entries(params, entries)) for entries in vectors]
+    worst = max(_exit_code(c) for _, c in results)
+    # only the format that is printed is built
+    if args.format == "json":
+        blobs = [
             {
                 "k": params.k,
                 "n": params.n,
@@ -191,21 +188,26 @@ def _cmd_check(args: argparse.Namespace) -> tuple[int, str]:
                 "q": c.q_value,
                 "trace": c.trace.as_json_dict() if c.trace is not None else None,
             }
-        )
-        if len(vectors) > 1:
+            for entries, c in results
+        ]
+        return worst, _render(args, blobs[0] if len(blobs) == 1 else blobs, "")
+    lines: list[str] = []
+    for entries, c in results:
+        if len(results) > 1:
             lines.append(f"# {_vec_str(entries)}")
         lines.append(_classification_message(c))
         if c.trace is not None:
             lines.extend(_trace_lines(c.trace, "  "))
-    obj = blobs[0] if len(blobs) == 1 else blobs
-    return worst, _render(args, obj, "\n".join(lines))
+    return worst, _render(args, None, "\n".join(lines))
 
 
 def _cmd_reduce(args: argparse.Namespace) -> tuple[int, str]:
     v = LatticeVector(SystemParams(args.k, args.n), _parse_vector(args.vector))
     trace = reduce_trace(v)
+    if args.format == "json":
+        return 0, _render(args, trace.as_json_dict(), "")
     lines = [f"input {_vec_str(v.x)} degree {degree(v)}", *_trace_lines(trace, "")]
-    return 0, _render(args, trace.as_json_dict(), "\n".join(lines))
+    return 0, _render(args, None, "\n".join(lines))
 
 
 def _summary(classes: Sequence[OrbitClass | GenericOrbit]) -> str:

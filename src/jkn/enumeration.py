@@ -28,7 +28,7 @@ from operator import itemgetter
 
 from .classify import TerminalKind, _walk
 from .errors import ContractError
-from .lattice import LatticeVector, SystemParams
+from .lattice import LatticeVector, SystemParams, _extended
 
 # Bound once here, so that code which rebinds this module's `LatticeVector`
 # (a profiler's wrapper, say) leaves the unchecked path as it is.
@@ -95,15 +95,9 @@ class GenericOrbit:
         return params.k >= km and params.n - params.k >= nm - km
 
     def specialize(self, params: SystemParams) -> LatticeVector:
-        """The orbit's representative inside J(params)."""
-        if not self.fits(params):
-            raise ContractError(
-                f"orbit with minimal support {self.core_params} does not fit in"
-                f" {params}"
-            )
-        km = self.core_params.k
-        pad = params.n - params.k - (self.core_params.n - km)
-        entries = (self.degree,) * (params.k - km) + self.core + (0,) * pad
+        """The orbit's representative inside J(params): the core extended."""
+        what = f"orbit with minimal support {self.core_params}"
+        entries = _extended(what, self.core, self.core_params.k, self.degree, params)
         return LatticeVector(params, entries)
 
     def as_json_dict(self) -> dict:

@@ -2,7 +2,8 @@
 
 Covers the maps between systems (duality J(k,n) <-> J(n-k,n), one-step
 extensions, minimal support), the two one-per-degree families of real
-roots, the null roots and real-root families of the three affine systems,
+roots, the null roots and real-root families of the three affine systems
+(each named root a minimal-support core, extended into J(k,n)),
 fundamental weights and positive-root sums for finite types, and the
 degree-plus-coordinates form of J(3,8) elements used to match the
 classical E8 / del Pezzo tables.
@@ -17,7 +18,13 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ContractError
-from .lattice import LatticeVector, SystemParams, _root_coefficients, degree
+from .lattice import (
+    LatticeVector,
+    SystemParams,
+    _extended,
+    _root_coefficients,
+    degree,
+)
 
 __all__ = [
     "WeightVector",
@@ -57,15 +64,12 @@ def extend(v: LatticeVector, grow_k: bool) -> LatticeVector:
 
     grow_k=False appends a zero coordinate, landing in J(k, n+1).
     grow_k=True prepends an entry equal to the degree, landing in
-    J(k+1, n+1).
+    J(k+1, n+1).  Every named root and generic orbit is its minimal-support
+    core carried into J(k,n) by these steps.
     """
-    params = v.params
-    if grow_k:
-        d = degree(v)
-        return LatticeVector(
-            SystemParams(params.k + 1, params.n + 1), (d,) + v.x
-        )
-    return LatticeVector(SystemParams(params.k, params.n + 1), v.x + (0,))
+    k, n = v.params.k, v.params.n
+    params = SystemParams(k + 1 if grow_k else k, n + 1)
+    return LatticeVector(params, _extended("extend", v.x, k, degree(v), params))
 
 
 def minimal_support(v: LatticeVector) -> tuple[SystemParams, LatticeVector]:
@@ -100,60 +104,61 @@ def minimal_support(v: LatticeVector) -> tuple[SystemParams, LatticeVector]:
 
 
 def gamma(d: int, params: SystemParams) -> LatticeVector:
-    """The degree-d real root (d..d 1's-block) with k-3 leading d's.
+    """The degree-d real root with core (d-1, 1^(2d+1)) in J(3, 2d+2).
 
-    Pattern: d repeated k-3 times, then d-1 once, then 1 repeated 2d+1
-    times, zero padded.  Defined for d >= 2, k >= 3, n >= k + 2d - 1.
+    Defined for d >= 2; J(k,n) holds it when k >= 3 and n - k >= 2d - 1.
     """
-    k, n = params.k, params.n
     if d < 2:
         raise ContractError(f"gamma requires d >= 2, got {d}")
-    if k < 3 or n < k + 2 * d - 1:
-        raise ContractError(
-            f"gamma pattern of degree {d} needs k >= 3 and n >= k + {2 * d - 1},"
-            f" got {params}"
-        )
-    entries = (d,) * (k - 3) + (d - 1,) + (1,) * (2 * d + 1)
-    return LatticeVector(params, entries + (0,) * (n - len(entries)))
+    if d > params.n:  # the core cannot fit; refused before it is built
+        raise ContractError(f"gamma of degree {d} does not fit in {params}")
+    core = (d - 1,) + (1,) * (2 * d + 1)
+    what = f"gamma of degree {d}"
+    return LatticeVector(params, _extended(what, core, 3, d, params))
 
 
 def delta_family(d: int, params: SystemParams) -> LatticeVector:
-    """The second one-per-degree family of real roots.
+    """The degree-d real root with core ((d-1)^(d+1), 1^(d+1)) in J(d+1, 2d+2).
 
-    Pattern: d repeated k-d-1 times, then d-1 repeated d+1 times, then 1
-    repeated d+1 times.  Defined for d >= 2, k >= d+1, n >= k + d + 1.
+    Defined for d >= 2; J(k,n) holds it when k >= d + 1 and n - k >= d + 1.
     """
-    k, n = params.k, params.n
     if d < 2:
         raise ContractError(f"delta_family requires d >= 2, got {d}")
-    if k < d + 1 or n < k + d + 1:
-        raise ContractError(
-            f"delta_family pattern of degree {d} needs k >= {d + 1} and"
-            f" n >= k + {d + 1}, got {params}"
-        )
-    entries = (d,) * (k - d - 1) + (d - 1,) * (d + 1) + (1,) * (d + 1)
-    return LatticeVector(params, entries + (0,) * (n - len(entries)))
+    if d > params.n:  # the core cannot fit; refused before it is built
+        raise ContractError(f"delta_family of degree {d} does not fit in {params}")
+    core = (d - 1,) * (d + 1) + (1,) * (d + 1)
+    what = f"delta_family of degree {d}"
+    return LatticeVector(params, _extended(what, core, d + 1, d, params))
 
 
 # ---------------------------------------------------------------------------
 # Affine systems
 
-_AFFINE_DELTAS: dict[SystemParams, tuple[int, ...]] = {
-    SystemParams(3, 9): (1,) * 9,
-    SystemParams(4, 8): (1,) * 8,
-    SystemParams(6, 9): (2,) * 9,
+# letter -> (affine system, its null root, the null root's degree); a larger
+# system holds the null root as this core extended
+_AFFINE = {
+    "A": (SystemParams(3, 9), (1,) * 9, 3),
+    "B": (SystemParams(6, 9), (2,) * 9, 3),
+    "C": (SystemParams(4, 8), (1,) * 8, 2),
+}
+
+# digit, or series for the digit 3 -> (minimal system, core, degree) of the
+# base root; each fits in every system its letter's affine system fits in
+_BASES = {
+    "1": (SystemParams(1, 1), (1,), 1),
+    "2": (SystemParams(3, 6), (1,) * 6, 2),
+    "A3": (SystemParams(3, 8), (2,) + (1,) * 7, 3),
+    "B3": (SystemParams(5, 8), (2,) * 7 + (1,), 3),
 }
 
 
 def affine_delta(params: SystemParams) -> LatticeVector:
     """The null root: generator of the Cartan kernel, q = 0."""
-    entries = _AFFINE_DELTAS.get(params)
-    if entries is None:
-        raise ContractError(
-            f"{params} is not affine; the affine systems are J(3,9), J(4,8),"
-            " J(6,9)"
-        )
-    return LatticeVector(params, entries)
+    for system, core, _ in _AFFINE.values():
+        if system == params:
+            return LatticeVector(params, core)
+    systems = ", ".join(str(system) for system, _, _ in _AFFINE.values())
+    raise ContractError(f"{params} is not affine; the affine systems are {systems}")
 
 
 class Series(str, enum.Enum):
@@ -177,34 +182,6 @@ class Series(str, enum.Enum):
     C2 = "C2"
 
 
-_SERIES_MIN_TAILS = {"A": (3, 6), "B": (6, 3), "C": (4, 4)}
-
-
-def _embedded_null_root(letter: str, params: SystemParams) -> tuple[int, ...]:
-    """Null root of the letter's affine subsystem, extended into params."""
-    k, n = params.k, params.n
-    if letter == "A":
-        body = (3,) * (k - 3) + (1,) * 9
-    elif letter == "B":
-        body = (3,) * (k - 6) + (2,) * 9
-    else:
-        body = (2,) * (k - 4) + (1,) * 8
-    return body + (0,) * (n - len(body))
-
-
-def _pair_window(letter: str, k: int) -> tuple[int, int]:
-    """1-indexed coordinate window on which the null root is constant.
-
-    Only differences e_i - e_j supported there pair to zero with the null
-    root, which is what keeps q = 2 along the whole series.
-    """
-    if letter == "A":
-        return k - 2, k + 6
-    if letter == "B":
-        return k - 5, k + 3
-    return k - 3, k + 4
-
-
 def affine_family(
     series: Series,
     sign: int,
@@ -214,51 +191,40 @@ def affine_family(
 ) -> LatticeVector:
     """sign * (base root) + m * (null root), in e-coordinates.
 
-    ``indices`` supplies the pair (i, j), i > j, for the digit-0 series and
-    must be omitted otherwise.  Every m >= 1 output is a positive root
-    (degree 0 exactly when the base degree cancels m times the null-root
-    degree).
+    Both roots are cores extended into ``params``.  ``indices`` supplies the
+    pair (i, j), i > j, for the digit-0 series and must be omitted
+    otherwise: e_i - e_j pairs to zero with the null root only when both
+    coordinates lie where the null root's core landed, which keeps q = 2
+    along the series.  Every m >= 1 output is a positive root (degree 0
+    exactly when the base degree cancels m times the null-root degree).
     """
     if sign not in (1, -1):
         raise ContractError(f"sign must be +1 or -1, got {sign}")
     if m < 1:
         raise ContractError(f"m must be >= 1, got {m}")
-    letter, digit = series.value[0], int(series.value[1])
-    k, n = params.k, params.n
-    min_k, min_tail = _SERIES_MIN_TAILS[letter]
-    if k < min_k or n - k < min_tail:
-        raise ContractError(
-            f"series {series.value} needs k >= {min_k} and n - k >= {min_tail},"
-            f" got {params}"
-        )
-    if digit == 0:
+    what = f"series {series.value}"
+    letter, digit = series.value
+    system, null_core, null_degree = _AFFINE[letter]
+    null = _extended(what, null_core, system.k, null_degree, params)
+    if digit == "0":
         if indices is None:
-            raise ContractError(f"series {series.value} requires indices=(i, j)")
-        lo, hi = _pair_window(letter, k)
+            raise ContractError(f"{what} requires indices=(i, j)")
+        lo = params.k - system.k + 1
+        hi = lo + system.n - 1
         i, j = indices
         if not (lo <= j < i <= hi):
             raise ContractError(
-                f"series {series.value} at k={k} needs {lo} <= j < i <= {hi},"
+                f"{what} at k={params.k} needs {lo} <= j < i <= {hi},"
                 f" got (i, j) = ({i}, {j})"
             )
-        base = [0] * n
+        base = [0] * params.n
         base[i - 1] = 1
         base[j - 1] = -1
     else:
         if indices is not None:
-            raise ContractError(
-                f"series {series.value} does not take indices"
-            )
-        if digit == 1:
-            body = (1,) * k
-        elif digit == 2:
-            body = (2,) * (k - 3) + (1,) * 6
-        elif letter == "A":
-            body = (3,) * (k - 3) + (2,) + (1,) * 7
-        else:  # B3
-            body = (3,) * (k - 5) + (2,) * 7 + (1,)
-        base = list(body) + [0] * (n - len(body))
-    null = _embedded_null_root(letter, params)
+            raise ContractError(f"{what} does not take indices")
+        core_system, core, d = _BASES.get(digit) or _BASES[series.value]
+        base = _extended(what, core, core_system.k, d, params)
     entries = tuple(sign * b + m * z for b, z in zip(base, null))
     return LatticeVector(params, entries)
 

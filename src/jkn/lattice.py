@@ -209,6 +209,22 @@ def _root_coefficients(k: int, x: Sequence[int], d: int) -> list[int]:
     return m
 
 
+def _extended(
+    what: str, core: tuple[int, ...], k_min: int, d: int, params: SystemParams
+) -> tuple[int, ...]:
+    """The degree-d entries ``core`` of J(k_min, len(core)) carried into
+    J(params): k - k_min leading d's and trailing zeros, the extensions that
+    keep the degree and q.  ContractError names ``what`` when the core does
+    not fit."""
+    k, n = params.k, params.n
+    n_min = len(core)
+    if k < k_min or n - k < n_min - k_min:
+        raise ContractError(
+            f"{what} needs k >= {k_min} and n - k >= {n_min - k_min}, got {params}"
+        )
+    return (d,) * (k - k_min) + core + (0,) * (n - k - n_min + k_min)
+
+
 def from_root_basis(c: RootCoefficients) -> LatticeVector:
     """Inverse of :func:`to_root_basis`.
 

@@ -158,6 +158,19 @@ def test_sorted_candidate_agrees_with_classify():
 
 
 
+def test_walk_refuses_a_nonpositive_end_other_than_minus_beta():
+    """Under its preconditions the walk's only nonpositive end is -beta; an
+    input breaking them (here q = 4, entry 2 > degree 1) is an internal
+    error, never an almost-real verdict."""
+    with pytest.raises(RuntimeError, match="not -beta"):
+        _walk(2, (2, 0))
+    assert set(TerminalKind) == {
+        TerminalKind.REACHED_MINUS_BETA,
+        TerminalKind.RANGE_VIOLATION,
+        TerminalKind.Q_VIOLATION,
+    }
+
+
 def _walk_with_memo(k, candidates):
     """Walk the candidates in order with one shared memo, each against a
     fresh walk; returns (steps from step 1 on, memo size)."""

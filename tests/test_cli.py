@@ -219,6 +219,32 @@ def test_reduce_json(capsys):
     assert len(data["steps"]) == 1
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("built output of a format that is not printed")
+
+
+def test_check_and_reduce_json_build_no_plain_lines(capsys, monkeypatch):
+    monkeypatch.setattr(jkn.cli, "_trace_lines", _refuse)
+    vectors = ("2,1,1,1,1,1,1,1", "3,3,3,0,0,0,0,0")
+    assert main(["check", "3", "8", *vectors, "--format", "json"]) == 2
+    assert [c["kind"] for c in json.loads(capsys.readouterr().out)] == [
+        "RealPositive",
+        "NotRealQ",
+    ]
+    assert main(["reduce", "3", "8", vectors[0], "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["terminal"] == "real"
+
+
+def test_check_and_reduce_plain_build_no_json(capsys, monkeypatch):
+    monkeypatch.setattr(jkn.cli.ReductionTrace, "as_json_dict", _refuse)
+    code, out = run(capsys, "check", "4", "10", "3,3,3,1,1,1,1,1,1,1")
+    assert code == 1
+    assert out.splitlines()[-1] == "  terminal: range violation"
+    code, out = run(capsys, "reduce", "3", "8", "2,1,1,1,1,1,1,1")
+    assert code == 0
+    assert out.splitlines()[-1] == "terminal: reached -beta"
+
+
 @pytest.mark.parametrize("k,n,d", [(3, 1500, 2), (1000, 1001, 1)])
 def test_orbits_large_n(capsys, k, n, d):
     code, out = run(capsys, "orbits", str(k), str(n), "--degree", str(d))

@@ -109,6 +109,12 @@ def test_delta_frozen():
         delta_family(4, SystemParams(4, 9))
 
 
+def test_families_refuse_a_huge_degree_before_building_it():
+    for family in (gamma, delta_family):
+        with pytest.raises(ContractError, match="does not fit"):
+            family(2**62, SystemParams(3, 8))
+
+
 def test_families_are_real_roots():
     host = SystemParams(6, 15)
     for d in range(2, 6):
@@ -230,6 +236,53 @@ def test_affine_family_digit_zero_window():
         affine_family(Series.A0, 1, 1, host)
     with pytest.raises(ContractError):
         affine_family(Series.A1, 1, 1, host, indices=(9, 2))
+
+
+# letter -> (k_min, n_min, null root core, its degree): the affine system
+AFFINE_CORES = {
+    "A": (3, 9, (1,) * 9, 3),
+    "B": (6, 9, (2,) * 9, 3),
+    "C": (4, 8, (1,) * 8, 2),
+}
+
+
+def _extended_null_root(letter, p):
+    k_min, n_min, core, d = AFFINE_CORES[letter]
+    return (d,) * (p.k - k_min) + core + (0,) * (p.n - p.k - n_min + k_min)
+
+
+@pytest.mark.parametrize("letter", "ABC")
+def test_affine_digit_zero_accepts_exactly_its_window(letter):
+    """(i, j) is accepted exactly when k - k_min + 1 <= j < i <= k - k_min + n_min,
+    where the null root's core lands."""
+    k_min, n_min, _, _ = AFFINE_CORES[letter]
+    series = Series(letter + "0")
+    for k in range(k_min, k_min + 4):
+        p = SystemParams(k, k + n_min - k_min + 2)
+        lo, hi = k - k_min + 1, k - k_min + n_min
+        for i in range(1, p.n + 1):
+            for j in range(1, p.n + 1):
+                if lo <= j < i <= hi:
+                    v = affine_family(series, -1, 2, p, (i, j))
+                    assert q(v) == 2, (p, i, j)
+                else:
+                    with pytest.raises(ContractError):
+                        affine_family(series, -1, 2, p, (i, j))
+
+
+@pytest.mark.parametrize(
+    "series", [s for s in Series if not s.value.endswith("0")], ids=str
+)
+def test_affine_digit_series_step_is_extended_null_root(series):
+    letter = series.value[0]
+    k_min, n_min, _, _ = AFFINE_CORES[letter]
+    for k, tail in [(k_min, n_min - k_min), (k_min + 1, n_min - k_min + 2), (9, 11)]:
+        p = SystemParams(k, k + tail)
+        step = affine_family(series, 1, 2, p) - affine_family(series, 1, 1, p)
+        assert step.x == _extended_null_root(letter, p), p
+    affine = SystemParams(k_min, n_min)
+    step = affine_family(series, 1, 2, affine) - affine_family(series, 1, 1, affine)
+    assert step == affine_delta(affine)
 
 
 def test_affine_family_preconditions():

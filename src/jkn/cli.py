@@ -27,7 +27,7 @@ import math
 import re
 import signal
 import sys
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .classify import (
     Classification,
@@ -42,6 +42,7 @@ from .enumeration import (
     GenericOrbit,
     OrbitClass,
     OrbitKind,
+    _count,
     count_almost_real_roots,
     count_real_roots,
     enumerate_generic,
@@ -82,11 +83,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 _KIND_MESSAGES = {
-    Kind.REAL_POSITIVE: "real positive",
-    Kind.REAL_NEGATIVE: "real negative",
+    Kind.REAL_POSITIVE: "real positive, degree {0.degree}",
+    Kind.REAL_NEGATIVE: "real negative, degree {0.degree}",
     Kind.DEGREE_ZERO_REAL: "real, degree 0",
-    Kind.ALMOST_REAL_POSITIVE: "almost real positive",
-    Kind.ALMOST_REAL_NEGATIVE: "almost real negative",
+    Kind.ALMOST_REAL_POSITIVE: "almost real positive, degree {0.degree}",
+    Kind.ALMOST_REAL_NEGATIVE: "almost real negative, degree {0.degree}",
+    Kind.NOT_REAL_Q: "not real: q = {0.q_value}, degree {0.degree}",
+    Kind.NOT_REAL_RANGE: "not real: entries outside [0, {0.degree}]",
     Kind.NOT_IN_LATTICE: "not in root lattice",
     Kind.ZERO: "zero vector",
 }
@@ -108,22 +111,6 @@ def _parse_vector(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ContractError(f"cannot parse vector {text!r}") from None
-
-
-def _classification_message(c: Classification) -> str:
-    if c.kind in _KIND_MESSAGES:
-        msg = _KIND_MESSAGES[c.kind]
-        if c.kind in (
-            Kind.REAL_POSITIVE,
-            Kind.REAL_NEGATIVE,
-            Kind.ALMOST_REAL_POSITIVE,
-            Kind.ALMOST_REAL_NEGATIVE,
-        ):
-            return f"{msg}, degree {c.degree}"
-        return msg
-    if c.kind is Kind.NOT_REAL_Q:
-        return f"not real: q = {c.q_value}, degree {c.degree}"
-    return f"not real: entries outside [0, {c.degree}]"
 
 
 def _exit_code(c: Classification) -> int:
@@ -150,25 +137,27 @@ def _trace_lines(trace: ReductionTrace, indent: str) -> list[str]:
 
 def _render(
     args: argparse.Namespace,
-    obj: object,
-    plain: str,
+    obj: Callable[[], object],
+    plain: Callable[[], str],
     header: Sequence[str] = (),
-    rows: Iterable[Sequence[object]] = (),
+    rows: Callable[[], Iterable[Sequence[object]]] = tuple,
 ) -> str:
-    """The output text in the requested format: compact json, csv rows, or plain."""
+    """The output text in the requested format: compact json, csv rows, or
+    plain.  Each format comes from its own zero-argument builder, and only
+    the one that --format picks is called."""
     if args.format == "json":
         import json
 
-        return json.dumps(obj)
+        return json.dumps(obj())
     if args.format == "csv":
         import csv
 
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows(rows())
         return out.getvalue().rstrip("\n")
-    return plain
+    return plain()
 
 
 def _cmd_check(args: argparse.Namespace) -> tuple[int, str]:
@@ -176,8 +165,8 @@ def _cmd_check(args: argparse.Namespace) -> tuple[int, str]:
     vectors = [_parse_vector(text) for text in args.vectors]
     results = [(entries, classify_entries(params, entries)) for entries in vectors]
     worst = max(_exit_code(c) for _, c in results)
-    # only the format that is printed is built
-    if args.format == "json":
+
+    def obj() -> object:
         blobs = [
             {
                 "k": params.k,
@@ -190,51 +179,61 @@ def _cmd_check(args: argparse.Namespace) -> tuple[int, str]:
             }
             for entries, c in results
         ]
-        return worst, _render(args, blobs[0] if len(blobs) == 1 else blobs, "")
-    lines: list[str] = []
-    for entries, c in results:
-        if len(results) > 1:
-            lines.append(f"# {_vec_str(entries)}")
-        lines.append(_classification_message(c))
-        if c.trace is not None:
-            lines.extend(_trace_lines(c.trace, "  "))
-    return worst, _render(args, None, "\n".join(lines))
+        return blobs[0] if len(blobs) == 1 else blobs
+
+    def plain() -> str:
+        lines: list[str] = []
+        for entries, c in results:
+            if len(results) > 1:
+                lines.append(f"# {_vec_str(entries)}")
+            lines.append(_KIND_MESSAGES[c.kind].format(c))
+            if c.trace is not None:
+                lines.extend(_trace_lines(c.trace, "  "))
+        return "\n".join(lines)
+
+    return worst, _render(args, obj, plain)
 
 
 def _cmd_reduce(args: argparse.Namespace) -> tuple[int, str]:
     v = LatticeVector(SystemParams(args.k, args.n), _parse_vector(args.vector))
     trace = reduce_trace(v)
-    if args.format == "json":
-        return 0, _render(args, trace.as_json_dict(), "")
-    lines = [f"input {_vec_str(v.x)} degree {degree(v)}", *_trace_lines(trace, "")]
-    return 0, _render(args, None, "\n".join(lines))
+    return 0, _render(
+        args,
+        trace.as_json_dict,
+        lambda: "\n".join(
+            [f"input {_vec_str(v.x)} degree {degree(v)}", *_trace_lines(trace, "")]
+        ),
+    )
 
 
-def _summary(classes: Sequence[OrbitClass | GenericOrbit]) -> str:
+def _summary(classes: Sequence[OrbitClass | GenericOrbit], line: Callable) -> str:
+    """The plain listing: one line per class, then the count of each kind."""
     real = sum(1 for c in classes if c.kind is OrbitKind.REAL)
-    return f"{real} real, {len(classes) - real} almost real"
+    summary = f"{real} real, {len(classes) - real} almost real"
+    return "\n".join([*map(line, classes), summary])
 
 
 def _cmd_orbits(args: argparse.Namespace) -> tuple[int, str]:
     params = SystemParams(args.k, args.n)
     orbits = enumerate_orbits(params, args.degree)
-    obj = {
-        "k": params.k,
-        "n": params.n,
-        "degree": args.degree,
-        "orbits": [oc.as_json_dict() for oc in orbits],
-    }
-    lines = [
-        f"{_vec_str(oc.representative.x)} {oc.kind.value} size={oc.orbit_size}"
-        for oc in orbits
-    ]
-    lines.append(_summary(orbits))
-    rows = [
-        (_spaced(oc.representative.x), oc.degree, oc.kind.value.lower(), oc.orbit_size)
-        for oc in orbits
-    ]
-    header = ("representative", "degree", "kind", "orbit_size")
-    return 0, _render(args, obj, "\n".join(lines), header, rows)
+    head = {"k": params.k, "n": params.n, "degree": args.degree}
+
+    def rows() -> Iterator[tuple]:
+        for oc in orbits:
+            x, kind = _spaced(oc.representative.x), oc.kind.value.lower()
+            yield x, oc.degree, kind, oc.orbit_size
+
+    return 0, _render(
+        args,
+        lambda: {**head, "orbits": [oc.as_json_dict() for oc in orbits]},
+        lambda: _summary(
+            orbits,
+            lambda oc: f"{_vec_str(oc.representative.x)} {oc.kind.value}"
+            f" size={oc.orbit_size}",
+        ),
+        ("representative", "degree", "kind", "orbit_size"),
+        rows,
+    )
 
 
 def _cmd_tables(args: argparse.Namespace) -> tuple[int, str]:
@@ -243,55 +242,52 @@ def _cmd_tables(args: argparse.Namespace) -> tuple[int, str]:
         raise ContractError("--max must be >= 1")
     counter = count_real_roots if args.kind == "real" else count_almost_real_roots
     counts = [(d, counter(params, d)) for d in range(1, args.max + 1)]
-    obj = {
-        "k": params.k,
-        "n": params.n,
-        "kind": args.kind,
-        "counts": [{"degree": d, "count": c} for d, c in counts],
-    }
-    plain = "\n".join(f"degree {d}: {c}" for d, c in counts)
-    rows = [(params.k, params.n, d, args.kind, c) for d, c in counts]
-    return 0, _render(args, obj, plain, ("k", "n", "degree", "kind", "count"), rows)
+    head = {"k": params.k, "n": params.n, "kind": args.kind}
+    return 0, _render(
+        args,
+        lambda: {**head, "counts": [{"degree": d, "count": c} for d, c in counts]},
+        lambda: "\n".join(f"degree {d}: {c}" for d, c in counts),
+        ("k", "n", "degree", "kind", "count"),
+        lambda: ((params.k, params.n, d, args.kind, c) for d, c in counts),
+    )
 
 
 def _cmd_generic(args: argparse.Namespace) -> tuple[int, str]:
     if args.degree < 1:
         raise ContractError("--degree must be >= 1")
     orbits = enumerate_generic(args.degree)
-    obj = {"degree": args.degree, "orbits": [g.as_json_dict() for g in orbits]}
-    lines = [
-        f"core={_vec_str(g.core)} at {g.core_params}"
-        f" pad=({args.degree})^(k-{g.d_multiplicity_offset}) {g.kind.value}"
-        for g in orbits
-    ]
-    lines.append(_summary(orbits))
-    rows = [
-        (
-            g.degree,
-            g.kind.value.lower(),
-            g.core_params.k,
-            g.core_params.n,
-            _spaced(g.core),
-        )
-        for g in orbits
-    ]
-    header = ("degree", "kind", "k_min", "n_min", "core")
-    return 0, _render(args, obj, "\n".join(lines), header, rows)
+
+    def rows() -> Iterator[tuple]:
+        for g in orbits:
+            k_min, n_min = g.core_params.k, g.core_params.n
+            yield g.degree, g.kind.value.lower(), k_min, n_min, _spaced(g.core)
+
+    return 0, _render(
+        args,
+        lambda: {"degree": args.degree, "orbits": [g.as_json_dict() for g in orbits]},
+        lambda: _summary(
+            orbits,
+            lambda g: f"core={_vec_str(g.core)} at {g.core_params}"
+            f" pad=({args.degree})^(k-{g.d_multiplicity_offset}) {g.kind.value}",
+        ),
+        ("degree", "kind", "k_min", "n_min", "core"),
+        rows,
+    )
 
 
 def _cmd_weights(args: argparse.Namespace) -> tuple[int, str]:
     params = SystemParams(args.k, args.n)
-    weights = fundamental_weights(params)
     labels = ["beta"] + [f"alpha_{i}" for i in range(1, params.n)]
-    obj = {
-        "k": params.k,
-        "n": params.n,
-        "weights": [
-            {"label": label, **w.as_json_dict()} for label, w in zip(labels, weights)
-        ],
-    }
-    plain = "\n".join(f"{label}: {w.plain_str()}" for label, w in zip(labels, weights))
-    return 0, _render(args, obj, plain)
+    weights = list(zip(labels, fundamental_weights(params)))
+    head = {"k": params.k, "n": params.n}
+    return 0, _render(
+        args,
+        lambda: {
+            **head,
+            "weights": [{"label": a, **w.as_json_dict()} for a, w in weights],
+        },
+        lambda: "\n".join(f"{a}: {w.plain_str()}" for a, w in weights),
+    )
 
 
 def _cmd_families(args: argparse.Namespace) -> tuple[int, str]:
@@ -318,21 +314,27 @@ def _cmd_families(args: argparse.Namespace) -> tuple[int, str]:
             indices = (pair[0], pair[1])
         sign = 1 if args.sign == "+" else -1
         v = affine_family(series, sign, args.m, params, indices)
-    plain = f"{_vec_str(v.x)}\ndegree {degree(v)}, q = {q(v)}"
-    return 0, _render(args, v.as_json_dict(), plain)
+    return 0, _render(
+        args, v.as_json_dict, lambda: f"{_vec_str(v.x)}\ndegree {degree(v)}, q = {q(v)}"
+    )
 
 
 def _cmd_manin(args: argparse.Namespace) -> tuple[int, str]:
     v = LatticeVector(SystemParams(args.k, args.n), _parse_vector(args.vector))
     mv = to_manin(v)
-    return 0, _render(args, mv.as_json_dict(), f"a = {mv.a}, b = {_vec_str(mv.b)}")
+    return 0, _render(
+        args, mv.as_json_dict, lambda: f"a = {mv.a}, b = {_vec_str(mv.b)}"
+    )
 
 
 def _cmd_profile(args: argparse.Namespace) -> tuple[int, str]:
     v = LatticeVector(SystemParams(args.k, args.n), _parse_vector(args.vector))
     p = canonical_profile(v)
-    plain = "\n".join(rot.plain_str() for rot in cyclic_permutations(p))
-    return 0, _render(args, p.as_json_dict(), plain)
+    return 0, _render(
+        args,
+        p.as_json_dict,
+        lambda: "\n".join(rot.plain_str() for rot in cyclic_permutations(p)),
+    )
 
 
 def _cmd_convert(args: argparse.Namespace) -> tuple[int, str]:
@@ -345,18 +347,20 @@ def _cmd_convert(args: argparse.Namespace) -> tuple[int, str]:
                 f" {len(values)}"
             )
         v = from_root_basis(RootCoefficients(params, values[0], values[1:]))
-        return 0, _render(args, v.as_json_dict(), _vec_str(v.x))
+        return 0, _render(args, v.as_json_dict, lambda: _vec_str(v.x))
     coeffs = to_root_basis(LatticeVector(params, values))
-    plain = f"m_beta = {coeffs.m_beta}, m = {_vec_str(coeffs.m)}"
-    return 0, _render(args, coeffs.as_json_dict(), plain)
+    return 0, _render(
+        args,
+        coeffs.as_json_dict,
+        lambda: f"m_beta = {coeffs.m_beta}, m = {_vec_str(coeffs.m)}",
+    )
 
 
 def _cmd_word(args: argparse.Namespace) -> tuple[int, str]:
-    params = SystemParams(args.k, args.n)
     word = parse_word(args.word)
-    v = LatticeVector(params, _parse_vector(args.vector))
+    v = LatticeVector(SystemParams(args.k, args.n), _parse_vector(args.vector))
     result = apply_word(word, v)
-    return 0, _render(args, result.as_json_dict(), _vec_str(result.x))
+    return 0, _render(args, result.as_json_dict, lambda: _vec_str(result.x))
 
 
 def _cmd_selftest(args: argparse.Namespace) -> tuple[int, str]:
@@ -377,10 +381,8 @@ def _cmd_selftest(args: argparse.Namespace) -> tuple[int, str]:
     ):
         for (k, n), expected in sorted(table.items()):
             params = SystemParams(k, n)
-            got = tuple(
-                sum(oc.orbit_size for oc in orbits(params, d) if oc.kind is kind)
-                for d in range(1, len(expected) + 1)
-            )
+            degrees = range(1, len(expected) + 1)
+            got = tuple(_count(orbits(params, d), kind) for d in degrees)
             report(f"{label} {params}", got == expected, f"{got} != {expected}")
     # (k, None) and (None, None) rows hold generic counts, the others concrete
     for (k, n), expected in sorted(golden.ORBIT_COUNTS.items(), key=str):
@@ -408,17 +410,22 @@ def _cmd_selftest(args: argparse.Namespace) -> tuple[int, str]:
             sorted(golden.GENERIC_ALMOST_CORES[d]),
         ]
         report(f"generic orbit cores, degree {d}", got_cores == expected_cores)
-    lines = [
-        f"{'ok' if c['ok'] else 'MISMATCH'}: {c['label']}"
-        f"{': ' + c['detail'] if c['detail'] else ''}"
-        for c in checks
-    ]
     failures = sum(1 for c in checks if not c["ok"])
-    lines.append(
-        f"selftest {'passed' if failures == 0 else f'failed ({failures} mismatches)'}"
+    verdict = "passed" if failures == 0 else f"failed ({failures} mismatches)"
+    return (0 if failures == 0 else 1), _render(
+        args,
+        lambda: {"checks": checks, "passed": failures == 0},
+        lambda: "\n".join(
+            [
+                *(
+                    f"{'ok' if c['ok'] else 'MISMATCH'}: {c['label']}"
+                    f"{': ' + c['detail'] if c['detail'] else ''}"
+                    for c in checks
+                ),
+                f"selftest {verdict}",
+            ]
+        ),
     )
-    obj = {"checks": checks, "passed": failures == 0}
-    return (0 if failures == 0 else 1), _render(args, obj, "\n".join(lines))
 
 
 def _add(

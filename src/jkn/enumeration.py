@@ -8,14 +8,15 @@ each, and weighting by the orbit size n! / prod(multiplicities!).
 The search picks the multiplicities (m_d, ..., m_1, m_0) of a
 representative's entries, recursing only on a nonzero one, so it is at most
 min(d, n) + 1 calls deep; the signature, representative and orbit size all
-come from those multiplicities.
+come from those multiplicities.  Each signature is walked as the search
+yields it, so no list of them is ever held.
 
 Every orbit of degree d, over all (k, n) at once, is captured by a finite
 list of generic orbits: stripped to minimal support, a representative is a
 vector of J(k_min, n_min) with k_min <= 2d-1 and n_min - k_min <= 2d-1, so
-one search of J(2d-1, 4d-2) per degree finds them all, each core read off
-its signature.  A generic orbit re-specializes to any large enough (k, n)
-by restoring leading d's and trailing zeros.
+one search of J(2d-1, 4d-2) per degree finds them all, each core stripped
+from its host representative by `lattice._stripped`.  A generic orbit
+re-specializes to any large enough (k, n) by the inverse rule `_extended`.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ import math
 from dataclasses import dataclass
 from itertools import chain, repeat, starmap
 from operator import itemgetter
+from typing import Iterator
 
 from .classify import TerminalKind, _walk
 from .errors import ContractError
-from .lattice import LatticeVector, SystemParams, _extended
+from .lattice import LatticeVector, SystemParams, _extended, _stripped
 
 # Bound once here, so that code which rebinds this module's `LatticeVector`
 # (a profiler's wrapper, say) leaves the unchecked path as it is.
@@ -89,11 +91,6 @@ class GenericOrbit:
     degree: int
     kind: OrbitKind
 
-    def fits(self, params: SystemParams) -> bool:
-        """Does this orbit exist in J(params)?"""
-        km, nm = self.core_params.k, self.core_params.n
-        return params.k >= km and params.n - params.k >= nm - km
-
     def specialize(self, params: SystemParams) -> LatticeVector:
         """The orbit's representative inside J(params): the core extended."""
         what = f"orbit with minimal support {self.core_params}"
@@ -118,8 +115,9 @@ def _fits(w: int, slots: int, s: int, t: int) -> bool:
     return s * s <= slots * t and t <= full * w * w + part * part
 
 
-def _search(v: int, slots: int, s: int, t: int, sig: tuple, out: list) -> None:
-    """Extend a signature ((d, m_d), ..., (v+1, m_{v+1})) by m_v, ..., m_0.
+def _search(v: int, slots: int, s: int, t: int, sig: tuple) -> Iterator[tuple]:
+    """Each extension of a signature ((d, m_d), ..., (v+1, m_{v+1})) by
+    m_v, ..., m_0, yielded as the search reaches it.
 
     The `slots` entries left lie in [0, v], with sum s and square sum t.
     m_v runs from high to low, so representatives come out lexicographically
@@ -127,8 +125,8 @@ def _search(v: int, slots: int, s: int, t: int, sig: tuple, out: list) -> None:
     c <= c^2 <= (v-1)*c, their sum is at most (v-1)*slots, and `_fits`
     holds.  m_v = 0 moves on to v-1 in place rather than recursing.
 
-    A branch whose entries left can only be 0s and 1s (t' = s') ends in
-    closed form instead of two more calls.
+    A branch whose entries left can only be 0s, 1s and 2s (they lie in
+    [0, 2], or t' = s') ends in closed form instead of more calls.
     """
     if t < s:
         return
@@ -146,30 +144,30 @@ def _search(v: int, slots: int, s: int, t: int, sig: tuple, out: list) -> None:
             rest, s2, t2 = slots - m, s - m * v, t - m * v * v
             if not _fits(w, rest, s2, t2):
                 continue
-            if t2 > s2:
-                _search(w, rest, s2, t2, sig + ((v, m),), out)
-                continue
-            # c*(c-1) >= 0, with equality only at c = 0, 1: t' = s' leaves
-            # s' ones (none when w = 0) and rest - s' zeros, s' <= rest by `_fits`
             leaf = sig + ((v, m),)
-            if s2:
-                leaf += ((1, s2),)
-            out.append(leaf + ((0, rest - s2),) if rest > s2 else leaf)
+            if t2 > s2 and w > 2:
+                yield from _search(w, rest, s2, t2, leaf)
+                continue
+            # c*(c-1) is 2 at c = 2 and 0 at c = 0, 1: entries left in [0, 2]
+            # are (t'-s')/2 twos, then ones (>= 0 by `_fits`), then zeros
+            twos = (t2 - s2) // 2
+            ones, zeros = s2 - 2 * twos, rest - s2 + twos
+            if zeros >= 0:
+                leaf += ((2, twos),) if twos else ()
+                leaf += ((1, ones),) if ones else ()
+                yield leaf + ((0, zeros),) if zeros else leaf
         if lo or hi < 0 or not _fits(w, slots, s, t):
             return
         v = w
-    out.append(sig + ((0, slots),) if slots else sig)
+    yield sig + ((0, slots),) if slots else sig
 
 
 def _classes(k: int, n: int, d: int):
-    """Each orbit of degree d in J(k,n) as (signature, entries, kind), descending.
-
-    The walks share one memo of sorted vectors, which lives for this call.
-    """
-    found: list[tuple[tuple[int, int], ...]] = []
-    _search(d, n, k * d, 2 + (k - 2) * d * d, (), found)
+    """Each orbit of degree d in J(k,n) as (signature, entries, kind), descending,
+    walked as the search yields it; the walks share one memo of sorted
+    vectors, which lives for this call."""
     known: dict[tuple[int, ...], TerminalKind] = {}
-    for signature in found:
+    for signature in _search(d, n, k * d, 2 + (k - 2) * d * d, ()):
         x = tuple(chain.from_iterable(starmap(repeat, signature)))
         real = _walk(k, x, known=known) is TerminalKind.REACHED_MINUS_BETA
         yield signature, x, OrbitKind.REAL if real else OrbitKind.ALMOST_REAL
@@ -202,11 +200,7 @@ def count_real_roots(params: SystemParams, degree: int) -> int:
         raise ContractError(f"count_real_roots requires degree >= 0, got {degree}")
     if degree == 0:
         return params.n * (params.n - 1) // 2
-    return sum(
-        oc.orbit_size
-        for oc in enumerate_orbits(params, degree)
-        if oc.kind is OrbitKind.REAL
-    )
+    return _count(enumerate_orbits(params, degree), OrbitKind.REAL)
 
 
 def count_almost_real_roots(params: SystemParams, degree: int) -> int:
@@ -215,29 +209,27 @@ def count_almost_real_roots(params: SystemParams, degree: int) -> int:
         raise ContractError(
             f"count_almost_real_roots requires degree >= 1, got {degree}"
         )
-    return sum(
-        oc.orbit_size
-        for oc in enumerate_orbits(params, degree)
-        if oc.kind is OrbitKind.ALMOST_REAL
-    )
+    return _count(enumerate_orbits(params, degree), OrbitKind.ALMOST_REAL)
+
+
+def _count(classes: tuple[OrbitClass, ...], kind: OrbitKind) -> int:
+    return sum(oc.orbit_size for oc in classes if oc.kind is kind)
 
 
 def enumerate_generic(degree: int) -> tuple[GenericOrbit, ...]:
     """All generic orbits of the given degree.
 
-    Each appears once in the host J(2d-1, 4d-2); its core is read off the
-    host signature by dropping the m_0 zeros and min(m_d, 2d-2) leading d's,
-    as `minimal_support` strips a vector, and its offset is 2d-1 - m_d.
+    Each appears once in the host J(2d-1, 4d-2), in the order the search
+    reaches it; its core is the host representative stripped by the rule
+    `minimal_support` also uses (the trailing zeros, then leading d's while
+    k > 1), and its offset is k_min minus the d's left in the core.
     """
     if degree < 1:
         raise ContractError(f"enumerate_generic requires degree >= 1, got {degree}")
-    d = degree
-    k, n = 2 * d - 1, 4 * d - 2
+    d, k = degree, 2 * degree - 1
     out = []
-    for signature, x, kind in _classes(k, n, d):
-        mult = dict(signature)
-        strip = min(mult.get(d, 0), k - 1)
-        core = x[strip : n - mult.get(0, 0)]
-        core_params = SystemParams(k - strip, len(core))
-        out.append(GenericOrbit(core, core_params, k - mult.get(d, 0), d, kind))
+    for _, x, kind in _classes(k, 2 * k, d):
+        k_min, core = _stripped(x, k, d)
+        core_params = SystemParams(k_min, len(core))
+        out.append(GenericOrbit(core, core_params, k_min - core.count(d), d, kind))
     return tuple(out)

@@ -23,6 +23,7 @@ from .lattice import (
     SystemParams,
     _extended,
     _root_coefficients,
+    _stripped,
     degree,
 )
 
@@ -73,7 +74,8 @@ def extend(v: LatticeVector, grow_k: bool) -> LatticeVector:
 
 
 def minimal_support(v: LatticeVector) -> tuple[SystemParams, LatticeVector]:
-    """Undo every extension: strip trailing zeros, then leading degree entries.
+    """Undo every extension: strip trailing zeros, then leading degree entries
+    (`lattice._stripped`, the inverse of the rule `extend` applies).
 
     Requires a non-increasing vector of degree >= 1 with entries in
     [0, degree].  k never drops below 1, so the all-ones vector of degree 1
@@ -89,14 +91,9 @@ def minimal_support(v: LatticeVector) -> tuple[SystemParams, LatticeVector]:
         raise ContractError(
             f"minimal_support requires entries in [0, {d}] (the degree)"
         )
-    k = v.params.k
-    while x and x[-1] == 0:
-        x = x[:-1]
-    while k > 1 and x[0] == d:
-        x = x[1:]
-        k -= 1
-    params = SystemParams(k, len(x))
-    return params, LatticeVector(params, x)
+    k, core = _stripped(x, v.params.k, d)
+    params = SystemParams(k, len(core))
+    return params, LatticeVector(params, core)
 
 
 # ---------------------------------------------------------------------------

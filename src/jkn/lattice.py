@@ -23,6 +23,7 @@ integer arithmetic.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import index, neg
 from typing import Sequence
@@ -223,6 +224,15 @@ def _extended(
             f"{what} needs k >= {k_min} and n - k >= {n_min - k_min}, got {params}"
         )
     return (d,) * (k - k_min) + core + (0,) * (n - k - n_min + k_min)
+
+
+def _stripped(x: tuple[int, ...], k: int, d: int) -> tuple[int, tuple[int, ...]]:
+    """The inverse of `_extended`: (k_min, core) for non-increasing degree-d
+    entries x in [0, d] of J(k, len(x)), the trailing zeros dropped, then
+    leading d's while k > 1.  -x is sorted, so a bisection finds each end."""
+    stop = bisect_left(x, 0, key=neg)
+    start = min(bisect_right(x, -d, key=neg), k - 1)
+    return k - start, x[start:stop]
 
 
 def from_root_basis(c: RootCoefficients) -> LatticeVector:

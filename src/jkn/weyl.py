@@ -49,9 +49,7 @@ class WeylWord:
         if not isinstance(self.letters, tuple):
             object.__setattr__(self, "letters", tuple(self.letters))
         for ell in self.letters:
-            if ell == S_BETA:
-                continue
-            if not isinstance(ell, int) or ell < 1:
+            if ell != S_BETA and (not isinstance(ell, int) or ell < 1):
                 raise ContractError(f"bad word letter {ell!r}")
 
     def __len__(self) -> int:
@@ -101,16 +99,11 @@ def parse_word(text: str) -> WeylWord:
     if text:
         for token in text.split(","):
             token = token.strip()
-            if token == S_BETA:
-                letters.append(S_BETA)
-            else:
-                try:
-                    idx = int(token)
-                except ValueError:
-                    raise ContractError(f"bad word token {token!r}") from None
-                if idx < 1:
-                    raise ContractError(f"bad word token {token!r}")
-                letters.append(idx)
+            try:
+                letters.append(token if token == S_BETA else int(token))
+            except ValueError:
+                raise ContractError(f"bad word token {token!r}") from None
+    # the constructor refuses an index below 1
     return WeylWord(tuple(letters))
 
 

@@ -245,6 +245,39 @@ def test_check_and_reduce_plain_build_no_json(capsys, monkeypatch):
     assert out.splitlines()[-1] == "terminal: reached -beta"
 
 
+def test_generic_json_builds_no_plain_or_csv_text(capsys, monkeypatch):
+    monkeypatch.setattr(jkn.cli, "_vec_str", _refuse)
+    monkeypatch.setattr(jkn.cli, "_spaced", _refuse)
+    code, out = run(capsys, "generic", "--degree", "3", "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["orbits"]) == 3
+
+
+def test_orbits_csv_builds_no_json_or_plain_text(capsys, monkeypatch):
+    monkeypatch.setattr(jkn.cli.OrbitClass, "as_json_dict", _refuse)
+    monkeypatch.setattr(jkn.cli, "_summary", _refuse)
+    code, out = run(capsys, "orbits", "3", "8", "--degree", "2", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == [
+        "representative,degree,kind,orbit_size",
+        "1 1 1 1 1 1 0 0,2,real,28",
+    ]
+
+
+def test_tables_and_generic_plain_build_no_json(capsys, monkeypatch):
+    monkeypatch.setattr(jkn.cli.GenericOrbit, "as_json_dict", _refuse)
+    code, out = run(capsys, "generic", "--degree", "2")
+    assert code == 0
+    assert out.splitlines()[-1] == "1 real, 0 almost real"
+    # the tables json object is a literal with no method to refuse, so
+    # _render is cut down to its plain branch: tables must hand it a builder
+    # of the plain text that needs neither of the other two
+    monkeypatch.setattr(jkn.cli, "_render", lambda args, obj, plain, *csv: plain())
+    code, out = run(capsys, "tables", "3", "8", "--max", "2")
+    assert code == 0
+    assert out.splitlines() == ["degree 1: 56", "degree 2: 28"]
+
+
 @pytest.mark.parametrize("k,n,d", [(3, 1500, 2), (1000, 1001, 1)])
 def test_orbits_large_n(capsys, k, n, d):
     code, out = run(capsys, "orbits", str(k), str(n), "--degree", str(d))

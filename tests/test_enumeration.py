@@ -1,6 +1,7 @@
 """Orbit enumeration, root counts, and the generic (large-system) view."""
 
 import math
+import time
 from collections import Counter
 
 import pytest
@@ -274,9 +275,10 @@ def test_generic_cores_match_reference():
 
 def test_generic_core_bounds():
     """Cores fit inside the host that is guaranteed to see every orbit, the
-    offset is k_min minus the core's leading run of degree entries, and the
-    core read off the host signature is what minimal_support strips the
-    host representative to."""
+    offset is k_min minus the core's leading run of degree entries, the
+    core is minimal (no trailing zero, no leading degree entry unless
+    k_min = 1), and it is what minimal_support strips the host
+    representative to."""
     for d in range(1, 12):
         host = SystemParams(2 * d - 1, 4 * d - 2)
         for g in enumerate_generic(d):
@@ -285,6 +287,8 @@ def test_generic_core_bounds():
             lead = g.core_params.k - g.d_multiplicity_offset
             assert g.core[:lead] == (d,) * lead
             assert g.core[lead : lead + 1] != (d,)
+            assert g.core[-1] != 0
+            assert g.core_params.k == 1 or g.core[0] != d
             assert minimal_support(g.specialize(host)) == (
                 g.core_params,
                 LatticeVector(g.core_params, g.core),
@@ -293,9 +297,11 @@ def test_generic_core_bounds():
 
 def test_specialize_matches_direct_enumeration():
     """Past the host J(2d-1, 4d-2) the orbits of degree d are stable: every
-    generic orbit fits, and specializing gives each orbit once, same kind."""
-    for d in range(1, 6):
-        generic = enumerate_generic(d)
+    generic orbit fits (`specialize` raises where one does not), and
+    specializing gives each orbit once, same kind."""
+    hosts = [
+        (d, k, n)
+        for d in range(1, 6)
         for k, n in [
             (2 * d - 1, 4 * d - 2),
             (2 * d, 4 * d - 1),
@@ -303,19 +309,18 @@ def test_specialize_matches_direct_enumeration():
             (2 * d + 1, 4 * d),
             (2 * d, 4 * d),
             (2 * d + 1, 4 * d + 1),
-        ]:
-            p = SystemParams(k, n)
-            assert all(g.fits(p) for g in generic)
-            specialized = sorted((g.specialize(p).x, g.kind) for g in generic)
-            direct = sorted(
-                (oc.representative.x, oc.kind) for oc in enumerate_orbits(p, d)
-            )
-            assert specialized == direct, (d, k, n)
+        ]
+    ]
+    hosts += [(d, 2 * d, 4 * d) for d in range(6, 13)]
+    for d, k, n in hosts:
+        p = SystemParams(k, n)
+        specialized = sorted((g.specialize(p).x, g.kind) for g in enumerate_generic(d))
+        direct = sorted((oc.representative.x, oc.kind) for oc in enumerate_orbits(p, d))
+        assert specialized == direct, (d, k, n)
 
 
 def test_specialize_rejects_small_hosts():
     g4 = [g for g in enumerate_generic(4) if g.core_params.k == 6][0]
-    assert not g4.fits(SystemParams(5, 16))
     with pytest.raises(ContractError):
         g4.specialize(SystemParams(5, 16))
 
@@ -343,3 +348,18 @@ def test_minimal_support_frozen():
     )
     assert (p.k, p.n) == (3, 6)
     assert core.x == (1, 1, 1, 1, 1, 1)
+
+
+def test_minimal_support_at_large_n():
+    """Each end of the core is found in one go, not one slice per entry: at
+    n = 60 000 the trailing zeros and a 30 000-long leading block go in well
+    under a second of CPU (a slice per entry took seconds)."""
+    n = 60_000
+    for k, x, want_k, want_core in [
+        (3, (2,) + (1,) * 7 + (0,) * (n - 8), 3, (2,) + (1,) * 7),
+        (30_000, (1,) * 30_000 + (0,) * 30_000, 1, (1,)),
+    ]:
+        t0 = time.process_time()
+        p, core = minimal_support(LatticeVector(SystemParams(k, n), x))
+        assert time.process_time() - t0 < 1.0, k
+        assert (p.k, p.n, core.x) == (want_k, len(want_core), want_core)

@@ -63,6 +63,10 @@ def test_word_round_trip():
     assert parse_word("").letters == ()
     with pytest.raises(ContractError):
         parse_word("b,x")
+    # an index below 1 is refused by the WeylWord constructor alone
+    for token in ("0", "-2"):
+        with pytest.raises(ContractError, match=f"bad word letter {token}$"):
+            parse_word(f"b,{token}")
 
 
 def test_word_applies_first_letter_first():

@@ -209,12 +209,14 @@ def _walk(
             path.append(key)
         tail = s[k:]
         r = sum(tail) - 2 * d
-        head = [c + r for c in s[:k]]
         d += r
         if steps is not None:
             steps.append((tuple(x), tuple(s), r, d))
-        hi = max(head[0], tail[0]) if tail else head[0]
-        lo = min(head[-1], tail[-1]) if tail else head[-1]
+        # the output is the head s[:k] shifted by r, then the tail, both
+        # sorted, so its ends bound it and it is built only if the walk goes on
+        first, last = s[0] + r, s[k - 1] + r
+        hi = max(first, tail[0]) if tail else first
+        lo = min(last, tail[-1]) if tail else last
         if hi <= 0:
             # The input s had entries in [0, d], so an all-nonpositive output
             # has an all-zero tail and r = -2d.  Then the head sums to k*d and
@@ -222,17 +224,18 @@ def _walk(
             # equality only when the head is constant: q = 2 forces d = 1 and
             # s = beta, whose output is -beta.  Any other end breaks the
             # caller's guarantee.
-            if head[0] == head[-1] == -1 and (not tail or tail[-1] == 0):
+            if first == last == -1 and (not tail or tail[-1] == 0):
                 terminal = TerminalKind.REACHED_MINUS_BETA
                 break
+            out = [c + r for c in s[:k]] + tail
             raise RuntimeError(
-                f"the walk reached the nonpositive vector {tuple(head + tail)},"
+                f"the walk reached the nonpositive vector {tuple(out)},"
                 " not -beta: its input broke the range or q = 2 precondition"
             )
         if lo < 0 or hi > d:
             terminal = TerminalKind.RANGE_VIOLATION
             break
-        x = head + tail
+        x = [c + r for c in s[:k]] + tail
     else:
         raise RuntimeError("reduction failed to terminate")
     for key in path:

@@ -8,8 +8,9 @@ each, and weighting by the orbit size n! / prod(multiplicities!).
 The search picks the multiplicities (m_d, ..., m_1, m_0) of a
 representative's entries, recursing only on a nonzero one, so it is at most
 min(d, n) + 1 calls deep; the signature, representative and orbit size all
-come from those multiplicities.  Each signature is walked as the search
-yields it, so no list of them is ever held.
+come from those multiplicities.  The search carries each representative's
+entries down next to its signature and hands the pair to the walk at the
+leaf, one call per orbit, so no list of them is ever held.
 
 Every orbit of degree d, over all (k, n) at once, is captured by a finite
 list of generic orbits: stripped to minimal support, a representative is a
@@ -24,9 +25,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat, starmap
 from operator import itemgetter
-from typing import Iterator
+from typing import Callable
 
 from .classify import TerminalKind, _walk
 from .errors import ContractError
@@ -108,6 +108,61 @@ class GenericOrbit:
         }
 
 
+# A walk's end and the orbit kind it gives, looked up once per orbit
+_MINUS_BETA = TerminalKind.REACHED_MINUS_BETA
+_REAL, _ALMOST_REAL = OrbitKind.REAL, OrbitKind.ALMOST_REAL
+
+# The search's records are built by `_orbit_class` and `_generic_orbit`,
+# which store the fields through their slots' member descriptors, as
+# `classify._step` does: the frozen __init__ would pass each through
+# object.__setattr__.
+_new = object.__new__
+_set_representative = OrbitClass.__dict__["representative"].__set__
+_set_orbit_degree = OrbitClass.__dict__["degree"].__set__
+_set_orbit_kind = OrbitClass.__dict__["kind"].__set__
+_set_orbit_size = OrbitClass.__dict__["orbit_size"].__set__
+_set_multiset_signature = OrbitClass.__dict__["multiset_signature"].__set__
+_set_core = GenericOrbit.__dict__["core"].__set__
+_set_core_params = GenericOrbit.__dict__["core_params"].__set__
+_set_offset = GenericOrbit.__dict__["d_multiplicity_offset"].__set__
+_set_generic_degree = GenericOrbit.__dict__["degree"].__set__
+_set_generic_kind = GenericOrbit.__dict__["kind"].__set__
+
+
+def _orbit_class(
+    representative: LatticeVector,
+    degree: int,
+    kind: OrbitKind,
+    orbit_size: int,
+    multiset_signature: tuple[tuple[int, int], ...],
+) -> OrbitClass:
+    """``OrbitClass(...)`` for fields the search and walk have produced."""
+    oc = _new(OrbitClass)
+    _set_representative(oc, representative)
+    _set_orbit_degree(oc, degree)
+    _set_orbit_kind(oc, kind)
+    _set_orbit_size(oc, orbit_size)
+    _set_multiset_signature(oc, multiset_signature)
+    return oc
+
+
+def _generic_orbit(
+    core: tuple[int, ...],
+    core_params: SystemParams,
+    d_multiplicity_offset: int,
+    degree: int,
+    kind: OrbitKind,
+) -> GenericOrbit:
+    """``GenericOrbit(...)`` for fields the search, walk and strip have produced."""
+    g = _new(GenericOrbit)
+    _set_core(g, core)
+    _set_core_params(g, core_params)
+    _set_offset(g, d_multiplicity_offset)
+    _set_generic_degree(g, degree)
+    _set_generic_kind(g, kind)
+    return g
+
+
 def _fits(w: int, slots: int, s: int, t: int) -> bool:
     """Necessary for `slots` entries in [0, w] to have sum s, square sum t:
     Cauchy-Schwarz, and t at most the square sum of s piled into w's."""
@@ -115,9 +170,12 @@ def _fits(w: int, slots: int, s: int, t: int) -> bool:
     return s * s <= slots * t and t <= full * w * w + part * part
 
 
-def _search(v: int, slots: int, s: int, t: int, sig: tuple) -> Iterator[tuple]:
-    """Each extension of a signature ((d, m_d), ..., (v+1, m_{v+1})) by
-    m_v, ..., m_0, yielded as the search reaches it.
+def _search(
+    v: int, slots: int, s: int, t: int, sig: tuple, x: tuple, leaf: Callable
+) -> None:
+    """Calls leaf(signature, entries) for each extension of the signature
+    ((d, m_d), ..., (v+1, m_{v+1})) by m_v, ..., m_0 as the search reaches
+    it; ``x`` holds the entries ``sig`` stands for, so no leaf re-expands one.
 
     The `slots` entries left lie in [0, v], with sum s and square sum t.
     m_v runs from high to low, so representatives come out lexicographically
@@ -135,42 +193,46 @@ def _search(v: int, slots: int, s: int, t: int, sig: tuple) -> Iterator[tuple]:
     while v:
         w = v - 1
         # left after m copies: s' = s - m*v, t' = t - m*v^2, slots' = slots - m;
-        # s' <= w*slots' and t' <= w*s' bound m below, s' <= t' above
-        hi = min(slots, s // v, t // (v * v))
-        if w:
-            hi = min(hi, (t - s) // (v * w))
-        lo = max(0, s - w * slots, -((w * s - t) // v))
-        for m in range(hi, max(lo, 1) - 1, -1):
+        # s' <= w*slots' and t' <= w*s' bound m below, s' <= t' above; m = 0
+        # moves on to w below
+        hi = min(slots, s // v, t // (v * v), (t - s) // (v * w) if w else slots)
+        lo = max(1, s - w * slots, -((w * s - t) // v))
+        for m in range(hi, lo - 1, -1):
             rest, s2, t2 = slots - m, s - m * v, t - m * v * v
             if not _fits(w, rest, s2, t2):
                 continue
-            leaf = sig + ((v, m),)
+            sig2, x2 = sig + ((v, m),), x + (v,) * m
             if t2 > s2 and w > 2:
-                yield from _search(w, rest, s2, t2, leaf)
+                _search(w, rest, s2, t2, sig2, x2, leaf)
                 continue
             # c*(c-1) is 2 at c = 2 and 0 at c = 0, 1: entries left in [0, 2]
             # are (t'-s')/2 twos, then ones (>= 0 by `_fits`), then zeros
             twos = (t2 - s2) // 2
             ones, zeros = s2 - 2 * twos, rest - s2 + twos
             if zeros >= 0:
-                leaf += ((2, twos),) if twos else ()
-                leaf += ((1, ones),) if ones else ()
-                yield leaf + ((0, zeros),) if zeros else leaf
-        if lo or hi < 0 or not _fits(w, slots, s, t):
+                sig2 += ((2, twos),) if twos else ()
+                sig2 += ((1, ones),) if ones else ()
+                sig2 += ((0, zeros),) if zeros else ()
+                leaf(sig2, x2 + (2,) * twos + (1,) * ones + (0,) * zeros)
+        # m = 0: the lower bounds at m = 0 are cheap rejects, and `_fits`
+        # implies both
+        if s > w * slots or t > w * s or not _fits(w, slots, s, t):
             return
         v = w
-    yield sig + ((0, slots),) if slots else sig
+    leaf(sig + ((0, slots),) if slots else sig, x + (0,) * slots)
 
 
-def _classes(k: int, n: int, d: int):
-    """Each orbit of degree d in J(k,n) as (signature, entries, kind), descending,
-    walked as the search yields it; the walks share one memo of sorted
-    vectors, which lives for this call."""
+def _classes(k: int, n: int, d: int, record: Callable) -> None:
+    """Calls record(signature, entries, kind) for each orbit of degree d in
+    J(k,n), descending, as the search reaches it; the walks share one memo
+    of sorted vectors, which lives for this call."""
     known: dict[tuple[int, ...], TerminalKind] = {}
-    for signature in _search(d, n, k * d, 2 + (k - 2) * d * d, ()):
-        x = tuple(chain.from_iterable(starmap(repeat, signature)))
-        real = _walk(k, x, known=known) is TerminalKind.REACHED_MINUS_BETA
-        yield signature, x, OrbitKind.REAL if real else OrbitKind.ALMOST_REAL
+
+    def leaf(sig: tuple, x: tuple) -> None:
+        real = _walk(k, x, known=known) is _MINUS_BETA
+        record(sig, x, _REAL if real else _ALMOST_REAL)
+
+    _search(d, n, k * d, 2 + (k - 2) * d * d, (), (), leaf)
 
 
 def enumerate_orbits(params: SystemParams, degree: int) -> tuple[OrbitClass, ...]:
@@ -187,10 +249,14 @@ def enumerate_orbits(params: SystemParams, degree: int) -> tuple[OrbitClass, ...
         raise ContractError(f"enumerate_orbits requires degree >= 1, got {degree}")
     n_factorial = math.factorial(params.n)
     classes = []
-    for sig, x, kind in _classes(params.k, params.n, degree):
+    add = classes.append
+
+    def record(sig: tuple, x: tuple, kind: OrbitKind) -> None:
         size = n_factorial // math.prod(map(math.factorial, map(itemgetter(1), sig)))
         # the search keeps only signatures whose n entries are ints summing to k*d
-        classes.append(OrbitClass(_trusted(params, x), degree, kind, size, sig))
+        add(_orbit_class(_trusted(params, x), degree, kind, size, sig))
+
+    _classes(params.k, params.n, degree, record)
     return tuple(classes)
 
 
@@ -222,14 +288,23 @@ def enumerate_generic(degree: int) -> tuple[GenericOrbit, ...]:
     Each appears once in the host J(2d-1, 4d-2), in the order the search
     reaches it; its core is the host representative stripped by the rule
     `minimal_support` also uses (the trailing zeros, then leading d's while
-    k > 1), and its offset is k_min minus the d's left in the core.
+    k > 1), and its offset is k minus the host's d's, which is k_min minus
+    the d's left in the core.  Each distinct J(k_min, n_min) is built once.
     """
     if degree < 1:
         raise ContractError(f"enumerate_generic requires degree >= 1, got {degree}")
     d, k = degree, 2 * degree - 1
     out = []
-    for _, x, kind in _classes(k, 2 * k, d):
+    add = out.append
+    systems: dict[tuple[int, int], SystemParams] = {}
+
+    def record(sig: tuple, x: tuple, kind: OrbitKind) -> None:
         k_min, core = _stripped(x, k, d)
-        core_params = SystemParams(k_min, len(core))
-        out.append(GenericOrbit(core, core_params, k_min - core.count(d), d, kind))
+        key = k_min, len(core)
+        core_params = systems.get(key)
+        if core_params is None:
+            core_params = systems[key] = SystemParams(*key)
+        add(_generic_orbit(core, core_params, k - x.count(d), d, kind))
+
+    _classes(k, 2 * k, d, record)
     return tuple(out)

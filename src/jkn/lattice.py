@@ -23,7 +23,6 @@ integer arithmetic.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import index, neg
 from typing import Sequence
@@ -48,8 +47,10 @@ __all__ = [
 class SystemParams:
     """Parameters (k, n) of a system J(k,n).
 
-    1 <= k <= n.  User-facing entry points require k < n; k = n occurs only
-    for the rank-one cores produced by minimal-support stripping.
+    1 <= k <= n, and every entry point accepts k = n.  J(n,n) is
+    A_{n-1} x A_1: beta is orthogonal to every alpha_i, so beta is its only
+    positive root of nonzero degree.  Minimal-support stripping reduces beta
+    itself to the core (1) of J(1,1).
     """
 
     k: int
@@ -229,9 +230,10 @@ def _extended(
 def _stripped(x: tuple[int, ...], k: int, d: int) -> tuple[int, tuple[int, ...]]:
     """The inverse of `_extended`: (k_min, core) for non-increasing degree-d
     entries x in [0, d] of J(k, len(x)), the trailing zeros dropped, then
-    leading d's while k > 1.  -x is sorted, so a bisection finds each end."""
-    stop = bisect_left(x, 0, key=neg)
-    start = min(bisect_right(x, -d, key=neg), k - 1)
+    leading d's while k > 1.  In such an x the zeros are exactly the trailing
+    ones and the d's the leading ones, so a count finds each end."""
+    stop = len(x) - x.count(0)
+    start = min(x.count(d), k - 1)
     return k - start, x[start:stop]
 
 

@@ -6,11 +6,22 @@ import shlex
 import subprocess
 import sys
 import threading
+from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import pytest
 
 import jkn.cli
+from jkn import (
+    OrbitKind,
+    SystemParams,
+    beta_vector,
+    degree,
+    enumerate_orbits,
+    fundamental_weights,
+    simple_root,
+)
 from jkn.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -161,6 +172,49 @@ def test_weights_plain(capsys):
     code, out = run(capsys, "weights", "3", "6")
     assert code == 0
     assert "1/3(-1,2,2,2,2,2)" in out
+
+
+def test_k_equal_to_n_answers_match_hand_values(capsys):
+    """J(n, n) is A_{n-1} x A_1: beta = (1^n) is orthogonal to every
+    alpha_i, so it is the one positive root of nonzero degree, and the
+    weights are beta/2 and the A_{n-1} weights of coordinate sum 0,
+    omega_j = (j/n - 1)^j (j/n)^(n-j)."""
+    assert run(capsys, "orbits", "1", "1", "--degree", "1") == (
+        0,
+        "(1) Real size=1\n1 real, 0 almost real\n",
+    )
+    for d in range(2, 5):
+        assert run(capsys, "orbits", "3", "3", "--degree", str(d)) == (
+            0,
+            "0 real, 0 almost real\n",
+        )
+    assert run(capsys, "tables", "5", "5", "--max", "4") == (
+        0,
+        "degree 1: 1\ndegree 2: 0\ndegree 3: 0\ndegree 4: 0\n",
+    )
+    assert run(capsys, "weights", "4", "4") == (
+        0,
+        "beta: 1/2(1,1,1,1)\n"
+        "alpha_1: 1/4(-3,1,1,1)\n"
+        "alpha_2: 1/2(-1,-1,1,1)\n"
+        "alpha_3: 1/4(-1,-1,-1,3)\n",
+    )
+    for n in range(2, 7):
+        p = SystemParams(n, n)
+        (beta,) = enumerate_orbits(p, 1)
+        assert (beta.representative.x, beta.kind, beta.orbit_size) == ((1,) * n, OrbitKind.REAL, 1)
+        assert all(enumerate_orbits(p, d) == () for d in range(2, 6))
+        hand = [(Fraction(1, 2),) * n] + [
+            (Fraction(j, n) - 1,) * j + (Fraction(j, n),) * (n - j) for j in range(1, n)
+        ]
+        weights = fundamental_weights(p)
+        assert [w.coords for w in weights] == hand
+        simple = [beta_vector(p)] + [simple_root(p, j) for j in range(1, n)]
+        for i, w in enumerate(weights):
+            for j, b in enumerate(simple):
+                # B(u, v) = sum u_i v_i + (2 - k) deg(u) deg(v), with k = n
+                pairing = sum(map(mul, w.coords, b.x)) + (2 - n) * sum(w.coords) / n * degree(b)
+                assert pairing == (i == j), (n, i, j)
 
 
 def test_families_null(capsys):

@@ -3,8 +3,10 @@
 import math
 import time
 from collections import Counter
+from itertools import chain, repeat, starmap
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from conftest import all_candidates, bruteforce_positive_real_roots
 from jkn import (
@@ -21,6 +23,7 @@ from jkn import (
     minimal_support,
     q,
 )
+from jkn.lattice import _extended, _stripped
 from jkn.golden import (
     ALMOST_COUNTS,
     GENERIC_ALMOST_CORES,
@@ -293,6 +296,53 @@ def test_generic_core_bounds():
                 g.core_params,
                 LatticeVector(g.core_params, g.core),
             )
+
+
+def test_records_follow_the_per_orbit_rules():
+    """The rules the search and the record builders apply without spelling
+    them out, checked the slow way: a representative is its signature
+    expanded, a generic orbit's offset is k_min minus the core's leading
+    degree entries, and its system is J(k_min, len(core))."""
+    for n in range(2, 15):
+        for k in range(1, n + 1):
+            for d in range(1, 9):
+                for oc in enumerate_orbits(SystemParams(k, n), d):
+                    expanded = chain.from_iterable(starmap(repeat, oc.multiset_signature))
+                    assert oc.representative.x == tuple(expanded)
+    for d in range(1, 11):
+        for g in enumerate_generic(d):
+            k_min = g.core_params.k
+            assert g.d_multiplicity_offset == k_min - g.core.count(d)
+            assert g.core_params == SystemParams(k_min, len(g.core))
+
+
+@st.composite
+def strip_inputs(draw):
+    """(x, k, d): non-increasing entries in [0, d], a run of d's, then some
+    entries in [1, d-1], then zeros, with either run up to 60 000 long."""
+    d = draw(st.integers(1, 5))
+    middle = draw(st.lists(st.integers(1, d - 1), max_size=8)) if d > 1 else []
+    x = (
+        (d,) * draw(st.integers(0, 60_000))
+        + tuple(sorted(middle, reverse=True))
+        + (0,) * draw(st.integers(0, 60_000))
+    )
+    if not x:
+        x = (d,)
+    return x, draw(st.integers(1, len(x))), d
+
+
+@given(strip_inputs())
+@example(((3, 2, 2, 1), 2, 3))  # no trailing zeros
+@example(((2,) * 5 + (1, 0), 3, 2))  # five leading d's with k = 3: k_min = 1
+@example(((2,) + (1,) * 7 + (0,) * 59_992, 3, 2))  # n = 60 000
+def test_strip_then_extend_round_trips(case):
+    """`_extended` undoes `_stripped`: the core carried back into J(k, n)
+    with k - k_min leading d's and trailing zeros is x again."""
+    x, k, d = case
+    k_min, core = _stripped(x, k, d)
+    assert 1 <= k_min <= k
+    assert _extended("x", core, k_min, d, SystemParams(k, len(x))) == x
 
 
 def test_specialize_matches_direct_enumeration():

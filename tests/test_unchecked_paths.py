@@ -4,8 +4,9 @@ A negation, the steps of a contraction walk, an orbit representative and
 the entries `classify_entries` has checked are built with
 `LatticeVector._trusted`.  Each is rebuilt here through the public
 constructor, which must accept it and give back an equal vector of ints.
-The walk's `ReductionStep` records are stored slot by slot as well; each
-must equal the one the public constructor builds from the walk's raw steps.
+The walk's `ReductionStep` records, and the `OrbitClass` and `GenericOrbit`
+records of the orbit search, are stored slot by slot as well; each must
+equal the one the public constructor builds from the same fields.
 """
 
 import dataclasses
@@ -13,13 +14,16 @@ import dataclasses
 import pytest
 
 from jkn import (
+    GenericOrbit,
     LatticeVector,
+    OrbitClass,
     ReductionStep,
     SystemParams,
     classify,
     classify_entries,
     degree,
     delta_family,
+    enumerate_generic,
     enumerate_orbits,
     gamma,
     reduce_trace,
@@ -41,11 +45,20 @@ def _recheck_trace(trace):
         _recheck(step.sorted)
 
 
-def _representatives():
+def _orbit_classes():
     for n in range(2, 11):
         for k in range(1, n):
             for d in range(1, 7):
-                yield from (oc.representative for oc in enumerate_orbits(SystemParams(k, n), d))
+                yield from enumerate_orbits(SystemParams(k, n), d)
+
+
+def _representatives():
+    return (oc.representative for oc in _orbit_classes())
+
+
+def _generic_orbits():
+    for d in range(1, 9):
+        yield from enumerate_generic(d)
 
 
 def test_orbit_representatives_pass_the_checks():
@@ -104,16 +117,55 @@ def test_trace_steps_equal_the_public_constructor():
         for trace in _traces(v):
             assert len(trace.steps) == len(expected)
             for step, public in zip(trace.steps, expected):
-                assert type(step) is ReductionStep
-                assert step == public
-                assert hash(step) == hash(public)
-                assert repr(step) == repr(public)
-                assert dataclasses.replace(step) == public
+                _assert_same_record(step, public)
+
+
+def _assert_same_record(record, public):
+    assert type(record) is type(public)
+    assert record == public
+    assert hash(record) == hash(public)
+    assert repr(record) == repr(public)
+    assert dataclasses.replace(record) == public
+
+
+def test_orbit_classes_equal_the_public_constructor():
+    for oc in _orbit_classes():
+        public = OrbitClass(
+            representative=LatticeVector(oc.representative.params, oc.representative.x),
+            degree=oc.degree,
+            kind=oc.kind,
+            orbit_size=oc.orbit_size,
+            multiset_signature=oc.multiset_signature,
+        )
+        _assert_same_record(oc, public)
+
+
+def test_generic_orbits_equal_the_public_constructor():
+    for g in _generic_orbits():
+        public = GenericOrbit(
+            core=g.core,
+            core_params=SystemParams(g.core_params.k, g.core_params.n),
+            d_multiplicity_offset=g.d_multiplicity_offset,
+            degree=g.degree,
+            kind=g.kind,
+        )
+        _assert_same_record(g, public)
+
+
+def test_walk_names_the_whole_nonpositive_end():
+    """(2, 0) in J(2, 2) has degree 1 and q = 4: the walk's one step lands on
+    (0, -2), which is not -beta, and the error shows that vector whole."""
+    with pytest.raises(RuntimeError, match=r"nonpositive vector \(0, -2\), not -beta"):
+        _walk(2, (2, 0))
 
 
 def test_slot_built_records_stay_frozen():
     step = reduce_trace(DEEP[0]).steps[1]
+    oc = enumerate_orbits(SystemParams(3, 9), 3)[0]
+    g = enumerate_generic(4)[0]
     records = [(step, field.name) for field in dataclasses.fields(ReductionStep)]
+    records += [(oc, field.name) for field in dataclasses.fields(OrbitClass)]
+    records += [(g, field.name) for field in dataclasses.fields(GenericOrbit)]
     records += [(step.sorted, "x"), (step.before_sort, "params"), (-DEEP[1], "x")]
     for record, name in records:
         before = getattr(record, name)

@@ -23,12 +23,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .errors import ContractError
-from .lattice import LatticeVector, SystemParams, _admit
-
-# Bound once here, so that code which rebinds this module's `LatticeVector`
-# (a profiler's wrapper, say) leaves the unchecked path as it is.  Like
-# `_step` below, it stores a proved record through its slots.
-_trusted = LatticeVector._trusted
+from .lattice import LatticeVector, SystemParams, _admit, _trusted
 
 __all__ = [
     "Kind",
@@ -95,7 +90,7 @@ _MIRROR_KIND = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ReductionStep:
     """One application of x -> s_beta(dec(x)).
 
@@ -109,28 +104,25 @@ class ReductionStep:
     r: int
     degree_after: int
 
+    def __init__(
+        self,
+        before_sort: LatticeVector,
+        sorted: LatticeVector,
+        r: int,
+        degree_after: int,
+    ) -> None:
+        _set_before_sort(self, before_sort)
+        _set_sorted(self, sorted)
+        _set_r(self, r)
+        _set_degree_after(self, degree_after)
 
-# The walk's steps are built by `_step`, which stores the four slots through
-# their member descriptors: the frozen __init__ would pass each through
-# object.__setattr__, at about twice the cost.
-_new = object.__new__
-_set_before_sort = ReductionStep.__dict__["before_sort"].__set__
-_set_sorted = ReductionStep.__dict__["sorted"].__set__
-_set_r = ReductionStep.__dict__["r"].__set__
-_set_degree_after = ReductionStep.__dict__["degree_after"].__set__
 
-
-def _step(
-    before_sort: LatticeVector, sorted_: LatticeVector, r: int, degree_after: int
-) -> ReductionStep:
-    """``ReductionStep(before_sort, sorted_, r, degree_after)`` for fields
-    the walk has produced; there is nothing to check."""
-    step = _new(ReductionStep)
-    _set_before_sort(step, before_sort)
-    _set_sorted(step, sorted_)
-    _set_r(step, r)
-    _set_degree_after(step, degree_after)
-    return step
+# __init__ stores each field through its slot's member descriptor: the
+# frozen class's __setattr__ refuses, and object.__setattr__ costs about
+# twice as much.
+_set_before_sort, _set_sorted, _set_r, _set_degree_after = (
+    ReductionStep.__dict__[name].__set__ for name in ReductionStep.__match_args__
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,7 +164,8 @@ class Classification:
     degree: Optional[int] = None
 
 
-# (before, sorted, r, degree_after), the raw form of a ReductionStep
+# (before, sorted, r, degree_after), the raw form of a ReductionStep; step
+# 0's before is the walk's input, already sorted
 _StepRecord = tuple[tuple[int, ...], tuple[int, ...], int, int]
 
 
@@ -184,29 +177,33 @@ def _walk(
 ) -> TerminalKind:
     """The contraction walk x -> s_beta(dec(x)) on raw entries.
 
-    Caller guarantees: entries in [0, d], q = 2, d >= 1.  When ``steps`` is
-    a list, each step is appended to it as (before, sorted, r, degree_after).
-    The head (first k entries, shifted by r) and the tail stay sorted, so
-    the window [0, degree_after] is checked at their ends only.
+    Caller guarantees: entries non-increasing and in [0, d], q = 2, d >= 1,
+    so only steps 1 and later sort.  When ``steps`` is a list, each step is
+    appended to it as (before, sorted, r, degree_after), where step 0's
+    before and sorted are both the input.  The head (first k entries,
+    shifted by r) and the tail stay sorted, so the window [0, degree_after]
+    is checked at their ends only.
 
     ``known`` is a memo for the walks of one enumeration, all with this k:
     the walk's later steps depend only on the sorted vector, so the walk
     stops at the first sorted vector from step 1 on that ``known`` holds,
     takes its terminal, and stores the terminal for every sorted vector from
-    step 1 on that it passed.  Step 0's sorted vector is the input's own;
+    step 1 on that it passed.  Step 0's sorted vector is the input itself;
     within one degree no walk meets it again, since the degree drops every
     step.  A walk that records ``steps`` passes no memo.
     """
     d = sum(x) // k
     path = []
+    s = x
     for i in range(d + 1):  # the degree drops every step
-        s = sorted(x, reverse=True)
-        if known is not None and i:
-            key = tuple(s)
-            terminal = known.get(key)
-            if terminal is not None:
-                break
-            path.append(key)
+        if i:
+            s = sorted(x, reverse=True)
+            if known is not None:
+                key = tuple(s)
+                terminal = known.get(key)
+                if terminal is not None:
+                    break
+                path.append(key)
         tail = s[k:]
         r = sum(tail) - 2 * d
         d += r
@@ -227,7 +224,8 @@ def _walk(
             if first == last == -1 and (not tail or tail[-1] == 0):
                 terminal = TerminalKind.REACHED_MINUS_BETA
                 break
-            out = [c + r for c in s[:k]] + tail
+            out = [c + r for c in s[:k]]
+            out += tail
             raise RuntimeError(
                 f"the walk reached the nonpositive vector {tuple(out)},"
                 " not -beta: its input broke the range or q = 2 precondition"
@@ -235,7 +233,9 @@ def _walk(
         if lo < 0 or hi > d:
             terminal = TerminalKind.RANGE_VIOLATION
             break
-        x = [c + r for c in s[:k]] + tail
+        # s may be the caller's tuple, so the tail is appended, not added
+        x = [c + r for c in s[:k]]
+        x += tail
     else:
         raise RuntimeError("reduction failed to terminate")
     for key in path:
@@ -251,11 +251,12 @@ def _trace(v: LatticeVector) -> ReductionTrace:
     """
     params = v.params
     raw_steps: list[_StepRecord] = []
-    terminal = _walk(params.k, v.x, raw_steps)
+    terminal = _walk(params.k, sorted(v.x, reverse=True), raw_steps)
     steps = tuple(
-        _step(
+        ReductionStep(
             # step i's input is s_beta of step i-1's sorted vector, and
-            # s_beta(y) = y + r*beta stays in the lattice
+            # s_beta(y) = y + r*beta stays in the lattice; step 0's is v,
+            # which the walk was handed sorted
             _trusted(params, before) if i else v,
             # a permutation of `before_sort`, so in the lattice too
             _trusted(params, srt),

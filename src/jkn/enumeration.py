@@ -30,11 +30,7 @@ from typing import Callable
 
 from .classify import TerminalKind, _walk
 from .errors import ContractError
-from .lattice import LatticeVector, SystemParams, _extended, _stripped
-
-# Bound once here, so that code which rebinds this module's `LatticeVector`
-# (a profiler's wrapper, say) leaves the unchecked path as it is.
-_trusted = LatticeVector._trusted
+from .lattice import LatticeVector, SystemParams, _extended, _stripped, _trusted
 
 __all__ = [
     "OrbitKind",
@@ -55,7 +51,7 @@ class OrbitKind(str, enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class OrbitClass:
     """A permutation orbit, held by its non-increasing representative."""
 
@@ -64,6 +60,20 @@ class OrbitClass:
     kind: OrbitKind
     orbit_size: int
     multiset_signature: tuple[tuple[int, int], ...]
+
+    def __init__(
+        self,
+        representative: LatticeVector,
+        degree: int,
+        kind: OrbitKind,
+        orbit_size: int,
+        multiset_signature: tuple[tuple[int, int], ...],
+    ) -> None:
+        _set_representative(self, representative)
+        _set_orbit_degree(self, degree)
+        _set_orbit_kind(self, kind)
+        _set_orbit_size(self, orbit_size)
+        _set_multiset_signature(self, multiset_signature)
 
     def as_json_dict(self) -> dict:
         return {
@@ -75,7 +85,7 @@ class OrbitClass:
         }
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class GenericOrbit:
     """One orbit shape valid across all large enough systems.
 
@@ -90,6 +100,20 @@ class GenericOrbit:
     d_multiplicity_offset: int
     degree: int
     kind: OrbitKind
+
+    def __init__(
+        self,
+        core: tuple[int, ...],
+        core_params: SystemParams,
+        d_multiplicity_offset: int,
+        degree: int,
+        kind: OrbitKind,
+    ) -> None:
+        _set_core(self, core)
+        _set_core_params(self, core_params)
+        _set_offset(self, d_multiplicity_offset)
+        _set_generic_degree(self, degree)
+        _set_generic_kind(self, kind)
 
     def specialize(self, params: SystemParams) -> LatticeVector:
         """The orbit's representative inside J(params): the core extended."""
@@ -112,55 +136,19 @@ class GenericOrbit:
 _MINUS_BETA = TerminalKind.REACHED_MINUS_BETA
 _REAL, _ALMOST_REAL = OrbitKind.REAL, OrbitKind.ALMOST_REAL
 
-# The search's records are built by `_orbit_class` and `_generic_orbit`,
-# which store the fields through their slots' member descriptors, as
-# `classify._step` does: the frozen __init__ would pass each through
-# object.__setattr__.
-_new = object.__new__
-_set_representative = OrbitClass.__dict__["representative"].__set__
-_set_orbit_degree = OrbitClass.__dict__["degree"].__set__
-_set_orbit_kind = OrbitClass.__dict__["kind"].__set__
-_set_orbit_size = OrbitClass.__dict__["orbit_size"].__set__
-_set_multiset_signature = OrbitClass.__dict__["multiset_signature"].__set__
-_set_core = GenericOrbit.__dict__["core"].__set__
-_set_core_params = GenericOrbit.__dict__["core_params"].__set__
-_set_offset = GenericOrbit.__dict__["d_multiplicity_offset"].__set__
-_set_generic_degree = GenericOrbit.__dict__["degree"].__set__
-_set_generic_kind = GenericOrbit.__dict__["kind"].__set__
-
-
-def _orbit_class(
-    representative: LatticeVector,
-    degree: int,
-    kind: OrbitKind,
-    orbit_size: int,
-    multiset_signature: tuple[tuple[int, int], ...],
-) -> OrbitClass:
-    """``OrbitClass(...)`` for fields the search and walk have produced."""
-    oc = _new(OrbitClass)
-    _set_representative(oc, representative)
-    _set_orbit_degree(oc, degree)
-    _set_orbit_kind(oc, kind)
-    _set_orbit_size(oc, orbit_size)
-    _set_multiset_signature(oc, multiset_signature)
-    return oc
-
-
-def _generic_orbit(
-    core: tuple[int, ...],
-    core_params: SystemParams,
-    d_multiplicity_offset: int,
-    degree: int,
-    kind: OrbitKind,
-) -> GenericOrbit:
-    """``GenericOrbit(...)`` for fields the search, walk and strip have produced."""
-    g = _new(GenericOrbit)
-    _set_core(g, core)
-    _set_core_params(g, core_params)
-    _set_offset(g, d_multiplicity_offset)
-    _set_generic_degree(g, degree)
-    _set_generic_kind(g, kind)
-    return g
+# Each __init__ stores the fields through their slots' member descriptors,
+# as `classify.ReductionStep` does: the frozen class's __setattr__ refuses,
+# and object.__setattr__ costs about twice as much.
+(
+    _set_representative,
+    _set_orbit_degree,
+    _set_orbit_kind,
+    _set_orbit_size,
+    _set_multiset_signature,
+) = (OrbitClass.__dict__[name].__set__ for name in OrbitClass.__match_args__)
+_set_core, _set_core_params, _set_offset, _set_generic_degree, _set_generic_kind = (
+    GenericOrbit.__dict__[name].__set__ for name in GenericOrbit.__match_args__
+)
 
 
 def _fits(w: int, slots: int, s: int, t: int) -> bool:
@@ -254,7 +242,7 @@ def enumerate_orbits(params: SystemParams, degree: int) -> tuple[OrbitClass, ...
     def record(sig: tuple, x: tuple, kind: OrbitKind) -> None:
         size = n_factorial // math.prod(map(math.factorial, map(itemgetter(1), sig)))
         # the search keeps only signatures whose n entries are ints summing to k*d
-        add(_orbit_class(_trusted(params, x), degree, kind, size, sig))
+        add(OrbitClass(_trusted(params, x), degree, kind, size, sig))
 
     _classes(params.k, params.n, degree, record)
     return tuple(classes)
@@ -304,7 +292,7 @@ def enumerate_generic(degree: int) -> tuple[GenericOrbit, ...]:
         core_params = systems.get(key)
         if core_params is None:
             core_params = systems[key] = SystemParams(*key)
-        add(_generic_orbit(core, core_params, k - x.count(d), d, kind))
+        add(GenericOrbit(core, core_params, k - x.count(d), d, kind))
 
     _classes(k, 2 * k, d, record)
     return tuple(out)

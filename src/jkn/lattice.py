@@ -126,6 +126,9 @@ class LatticeVector:
 _new = object.__new__
 _set_params = LatticeVector.__dict__["params"].__set__
 _set_x = LatticeVector.__dict__["x"].__set__
+# Bound once, right after the class, for the other modules to import by name:
+# the benchmark's tracer rebinds `LatticeVector` to a wrapper function.
+_trusted = LatticeVector._trusted
 
 
 @dataclass(frozen=True, slots=True)

@@ -143,18 +143,19 @@ def test_sorted_candidate_agrees_with_classify():
     for k, n, d in [(3, 6, 2), (3, 7, 3), (4, 9, 2), (4, 10, 4)]:
         p = SystemParams(k, n)
         for t in all_candidates(k, n, d):
+            # the walk takes its input sorted; classify_entries takes t as is
             c = classify_entries(p, t)
-            for x in (t, tuple(sorted(t, reverse=True))):
-                steps = []
-                terminal = _walk(k, x, steps)
-                assert _walk(k, x) is terminal
-                assert terminal is c.trace.terminal
-                assert (terminal is TerminalKind.REACHED_MINUS_BETA) == (
-                    c.kind is Kind.REAL_POSITIVE
-                )
-                assert [st[1:] for st in steps] == [
-                    (st.sorted.x, st.r, st.degree_after) for st in c.trace.steps
-                ]
+            x = tuple(sorted(t, reverse=True))
+            steps = []
+            terminal = _walk(k, x, steps)
+            assert _walk(k, x) is terminal
+            assert terminal is c.trace.terminal
+            assert (terminal is TerminalKind.REACHED_MINUS_BETA) == (
+                c.kind is Kind.REAL_POSITIVE
+            )
+            assert [st[1:] for st in steps] == [
+                (st.sorted.x, st.r, st.degree_after) for st in c.trace.steps
+            ]
 
 
 
@@ -171,15 +172,19 @@ def test_walk_refuses_a_nonpositive_end_other_than_minus_beta():
     }
 
 
-def _walk_with_memo(k, candidates):
-    """Walk the candidates in order with one shared memo, each against a
-    fresh walk; returns (steps from step 1 on, memo size)."""
+def _walk_with_memo(p, candidates):
+    """Walk the candidates, each sorted, in order with one shared memo, each
+    against a fresh walk and against `classify_entries` of the candidate as
+    given; returns (steps from step 1 on, memo size)."""
+    k = p.k
     known = {}
     later = 0
-    for x in candidates:
+    for entries in candidates:
+        x = tuple(sorted(entries, reverse=True))
         steps = []
         terminal = _walk(k, x, steps)
         assert _walk(k, x, known=known) is terminal
+        assert classify_entries(p, entries).trace.terminal is terminal
         for _, srt, _, _ in steps[1:]:
             assert known.get(srt) is terminal
         later += len(steps) - 1
@@ -196,7 +201,7 @@ def test_walk_memo_agrees_with_fresh_walks():
         xs = [oc.representative.x for d in degrees for oc in enumerate_orbits(p, d)]
         shuffled = [tuple(rng.sample(x, n)) for x in rng.sample(xs, len(xs))]
         for candidates in (xs, shuffled):
-            later, stored = _walk_with_memo(k, candidates)
+            later, stored = _walk_with_memo(p, candidates)
             shared += later - stored
     assert shared > 0  # some walks did stop at a vector the memo held
 

@@ -5,11 +5,16 @@ the entries `classify_entries` has checked are built with
 `LatticeVector._trusted`.  Each is rebuilt here through the public
 constructor, which must accept it and give back an equal vector of ints.
 The walk's `ReductionStep` records, and the `OrbitClass` and `GenericOrbit`
-records of the orbit search, are stored slot by slot as well; each must
-equal the one the public constructor builds from the same fields.
+records of the orbit search, each have one constructor: an `__init__` written
+by hand that stores the fields slot by slot.  Each record the library returns
+must equal the one built from freshly checked vectors, and each class's
+`__init__` must keep to its dataclass fields.
 """
 
+import copy
 import dataclasses
+import inspect
+import pickle
 
 import pytest
 
@@ -93,9 +98,9 @@ def _traces(v):
 
 
 def _public_steps(v):
-    """v's walk, each step built by the public constructors from the raw record."""
+    """v's walk, each step built from the raw record with checked vectors."""
     raw = []
-    _walk(v.params.k, v.x, raw)
+    _walk(v.params.k, sorted(v.x, reverse=True), raw)
     return [
         ReductionStep(
             before_sort=LatticeVector(v.params, before),
@@ -174,3 +179,32 @@ def test_slot_built_records_stay_frozen():
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(record, name)
         assert getattr(record, name) is before
+
+
+RECORDS = {
+    ReductionStep: lambda: reduce_trace(DEEP[0]).steps[1],
+    OrbitClass: lambda: enumerate_orbits(SystemParams(3, 9), 3)[0],
+    GenericOrbit: lambda: enumerate_generic(4)[0],
+}
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
+def test_record_init_keeps_to_its_fields(cls):
+    """The hand-written __init__ takes the dataclass fields, in order, and
+    stores each argument in its own slot."""
+    record = RECORDS[cls]()
+    names = tuple(field.name for field in dataclasses.fields(cls))
+    assert tuple(inspect.signature(cls).parameters) == names
+    assert cls.__match_args__ == names
+    values = [getattr(record, name) for name in names]
+    assert cls(*values) == cls(**dict(zip(names, values))) == record
+    marker = object()
+    for name in names:
+        changed = dataclasses.replace(record, **{name: marker})
+        assert [getattr(changed, other) for other in names] == [
+            marker if other == name else getattr(record, other) for other in names
+        ]
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert copy.deepcopy(record) == record
+    with pytest.raises(TypeError):
+        cls(*values[:-1])

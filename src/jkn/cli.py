@@ -5,13 +5,14 @@ manin, profile, convert, word, selftest.  Every subcommand accepts
 --format plain|json (csv additionally for the tabular ones) and
 --time-limit.  Exit codes: 0 success (for check: real root), 1 almost
 real, 2 any other classification, 3 usage or contract errors, 4 time or
-resource limits, 5 an unexpected internal error (traceback on stderr).
+resource limits, 5 an unexpected internal error (traceback on stderr),
+141 (as for SIGPIPE) when the reader of stdout has closed it.
 
 Vectors are comma-separated and may start with '-'; an argument of the
 form @file pulls one argument per line from the file, so
-`check 3 8 @vectors.txt` classifies a batch.  Each subcommand returns its
-exit code and its whole output text, rendered once in the requested
-format, and main writes that text to stdout.
+`check 3 8 @vectors.txt` classifies a batch.  Each subcommand writes its
+output to stdout in the requested format as it renders it, and returns
+its exit code (None for 0).
 
 The modules only one subcommand or one format needs (the reference tables,
 json, csv, traceback) are imported where they are used, so that a command
@@ -22,8 +23,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import math
+import os
 import re
 import signal
 import sys
@@ -138,29 +139,31 @@ def _trace_lines(trace: ReductionTrace, indent: str) -> list[str]:
 def _render(
     args: argparse.Namespace,
     obj: Callable[[], object],
-    plain: Callable[[], str],
+    plain: Callable[[], Iterable[str]],
     header: Sequence[str] = (),
     rows: Callable[[], Iterable[Sequence[object]]] = tuple,
-) -> str:
-    """The output text in the requested format: compact json, csv rows, or
-    plain.  Each format comes from its own zero-argument builder, and only
-    the one that --format picks is called."""
+) -> None:
+    """Write the output to stdout in the requested format: one line of
+    compact json, csv rows, or plain lines.  Each format comes from its own
+    zero-argument builder, and only the one that --format picks is called;
+    csv rows and plain lines are written as they are built."""
+    out = sys.stdout
     if args.format == "json":
         import json
 
-        return json.dumps(obj())
-    if args.format == "csv":
+        out.write(json.dumps(obj()) + "\n")
+    elif args.format == "csv":
         import csv
 
-        out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows())
-        return out.getvalue().rstrip("\n")
-    return plain()
+    else:
+        for line in plain():
+            out.write(line + "\n")
 
 
-def _cmd_check(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_check(args: argparse.Namespace) -> int:
     params = SystemParams(args.k, args.n)
     vectors = [_parse_vector(text) for text in args.vectors]
     results = [(entries, classify_entries(params, entries)) for entries in vectors]
@@ -181,39 +184,38 @@ def _cmd_check(args: argparse.Namespace) -> tuple[int, str]:
         ]
         return blobs[0] if len(blobs) == 1 else blobs
 
-    def plain() -> str:
-        lines: list[str] = []
+    def plain() -> Iterator[str]:
         for entries, c in results:
             if len(results) > 1:
-                lines.append(f"# {_vec_str(entries)}")
-            lines.append(_KIND_MESSAGES[c.kind].format(c))
+                yield f"# {_vec_str(entries)}"
+            yield _KIND_MESSAGES[c.kind].format(c)
             if c.trace is not None:
-                lines.extend(_trace_lines(c.trace, "  "))
-        return "\n".join(lines)
+                yield from _trace_lines(c.trace, "  ")
 
-    return worst, _render(args, obj, plain)
+    _render(args, obj, plain)
+    return worst
 
 
-def _cmd_reduce(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_reduce(args: argparse.Namespace) -> None:
     v = LatticeVector(SystemParams(args.k, args.n), _parse_vector(args.vector))
     trace = reduce_trace(v)
-    return 0, _render(
+    _render(
         args,
         trace.as_json_dict,
-        lambda: "\n".join(
-            [f"input {_vec_str(v.x)} degree {degree(v)}", *_trace_lines(trace, "")]
-        ),
+        lambda: [f"input {_vec_str(v.x)} degree {degree(v)}", *_trace_lines(trace, "")],
     )
 
 
-def _summary(classes: Sequence[OrbitClass | GenericOrbit], line: Callable) -> str:
+def _summary(
+    classes: Sequence[OrbitClass | GenericOrbit], line: Callable
+) -> Iterator[str]:
     """The plain listing: one line per class, then the count of each kind."""
+    yield from map(line, classes)
     real = sum(1 for c in classes if c.kind is OrbitKind.REAL)
-    summary = f"{real} real, {len(classes) - real} almost real"
-    return "\n".join([*map(line, classes), summary])
+    yield f"{real} real, {len(classes) - real} almost real"
 
 
-def _cmd_orbits(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_orbits(args: argparse.Namespace) -> None:
     params = SystemParams(args.k, args.n)
     orbits = enumerate_orbits(params, args.degree)
     head = {"k": params.k, "n": params.n, "degree": args.degree}
@@ -223,7 +225,7 @@ def _cmd_orbits(args: argparse.Namespace) -> tuple[int, str]:
             x, kind = _spaced(oc.representative.x), oc.kind.value.lower()
             yield x, oc.degree, kind, oc.orbit_size
 
-    return 0, _render(
+    _render(
         args,
         lambda: {**head, "orbits": [oc.as_json_dict() for oc in orbits]},
         lambda: _summary(
@@ -236,23 +238,23 @@ def _cmd_orbits(args: argparse.Namespace) -> tuple[int, str]:
     )
 
 
-def _cmd_tables(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_tables(args: argparse.Namespace) -> None:
     params = SystemParams(args.k, args.n)
     if args.max < 1:
         raise ContractError("--max must be >= 1")
     counter = count_real_roots if args.kind == "real" else count_almost_real_roots
     counts = [(d, counter(params, d)) for d in range(1, args.max + 1)]
     head = {"k": params.k, "n": params.n, "kind": args.kind}
-    return 0, _render(
+    _render(
         args,
         lambda: {**head, "counts": [{"degree": d, "count": c} for d, c in counts]},
-        lambda: "\n".join(f"degree {d}: {c}" for d, c in counts),
+        lambda: (f"degree {d}: {c}" for d, c in counts),
         ("k", "n", "degree", "kind", "count"),
         lambda: ((params.k, params.n, d, args.kind, c) for d, c in counts),
     )
 
 
-def _cmd_generic(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_generic(args: argparse.Namespace) -> None:
     if args.degree < 1:
         raise ContractError("--degree must be >= 1")
     orbits = enumerate_generic(args.degree)
@@ -262,7 +264,7 @@ def _cmd_generic(args: argparse.Namespace) -> tuple[int, str]:
             k_min, n_min = g.core_params.k, g.core_params.n
             yield g.degree, g.kind.value.lower(), k_min, n_min, _spaced(g.core)
 
-    return 0, _render(
+    _render(
         args,
         lambda: {"degree": args.degree, "orbits": [g.as_json_dict() for g in orbits]},
         lambda: _summary(
@@ -275,22 +277,22 @@ def _cmd_generic(args: argparse.Namespace) -> tuple[int, str]:
     )
 
 
-def _cmd_weights(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_weights(args: argparse.Namespace) -> None:
     params = SystemParams(args.k, args.n)
     labels = ["beta"] + [f"alpha_{i}" for i in range(1, params.n)]
     weights = list(zip(labels, fundamental_weights(params)))
     head = {"k": params.k, "n": params.n}
-    return 0, _render(
+    _render(
         args,
         lambda: {
             **head,
             "weights": [{"label": a, **w.as_json_dict()} for a, w in weights],
         },
-        lambda: "\n".join(f"{a}: {w.plain_str()}" for a, w in weights),
+        lambda: (f"{a}: {w.plain_str()}" for a, w in weights),
     )
 
 
-def _cmd_families(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_families(args: argparse.Namespace) -> None:
     params = SystemParams(args.k, args.n)
     if args.family in ("gamma", "delta"):
         if args.degree is None:
@@ -314,30 +316,28 @@ def _cmd_families(args: argparse.Namespace) -> tuple[int, str]:
             indices = (pair[0], pair[1])
         sign = 1 if args.sign == "+" else -1
         v = affine_family(series, sign, args.m, params, indices)
-    return 0, _render(
-        args, v.as_json_dict, lambda: f"{_vec_str(v.x)}\ndegree {degree(v)}, q = {q(v)}"
+    _render(
+        args, v.as_json_dict, lambda: [_vec_str(v.x), f"degree {degree(v)}, q = {q(v)}"]
     )
 
 
-def _cmd_manin(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_manin(args: argparse.Namespace) -> None:
     v = LatticeVector(SystemParams(args.k, args.n), _parse_vector(args.vector))
     mv = to_manin(v)
-    return 0, _render(
-        args, mv.as_json_dict, lambda: f"a = {mv.a}, b = {_vec_str(mv.b)}"
-    )
+    _render(args, mv.as_json_dict, lambda: [f"a = {mv.a}, b = {_vec_str(mv.b)}"])
 
 
-def _cmd_profile(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_profile(args: argparse.Namespace) -> None:
     v = LatticeVector(SystemParams(args.k, args.n), _parse_vector(args.vector))
     p = canonical_profile(v)
-    return 0, _render(
+    _render(
         args,
         p.as_json_dict,
-        lambda: "\n".join(rot.plain_str() for rot in cyclic_permutations(p)),
+        lambda: (rot.plain_str() for rot in cyclic_permutations(p)),
     )
 
 
-def _cmd_convert(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_convert(args: argparse.Namespace) -> None:
     params = SystemParams(args.k, args.n)
     values = _parse_vector(args.values)
     if args.from_roots:
@@ -347,23 +347,24 @@ def _cmd_convert(args: argparse.Namespace) -> tuple[int, str]:
                 f" {len(values)}"
             )
         v = from_root_basis(RootCoefficients(params, values[0], values[1:]))
-        return 0, _render(args, v.as_json_dict, lambda: _vec_str(v.x))
+        _render(args, v.as_json_dict, lambda: [_vec_str(v.x)])
+        return
     coeffs = to_root_basis(LatticeVector(params, values))
-    return 0, _render(
+    _render(
         args,
         coeffs.as_json_dict,
-        lambda: f"m_beta = {coeffs.m_beta}, m = {_vec_str(coeffs.m)}",
+        lambda: [f"m_beta = {coeffs.m_beta}, m = {_vec_str(coeffs.m)}"],
     )
 
 
-def _cmd_word(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_word(args: argparse.Namespace) -> None:
     word = parse_word(args.word)
     v = LatticeVector(SystemParams(args.k, args.n), _parse_vector(args.vector))
     result = apply_word(word, v)
-    return 0, _render(args, result.as_json_dict, lambda: _vec_str(result.x))
+    _render(args, result.as_json_dict, lambda: [_vec_str(result.x)])
 
 
-def _cmd_selftest(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_selftest(args: argparse.Namespace) -> int:
     from . import golden
 
     checks: list[dict] = []
@@ -412,26 +413,25 @@ def _cmd_selftest(args: argparse.Namespace) -> tuple[int, str]:
         report(f"generic orbit cores, degree {d}", got_cores == expected_cores)
     failures = sum(1 for c in checks if not c["ok"])
     verdict = "passed" if failures == 0 else f"failed ({failures} mismatches)"
-    return (0 if failures == 0 else 1), _render(
+    _render(
         args,
         lambda: {"checks": checks, "passed": failures == 0},
-        lambda: "\n".join(
-            [
-                *(
-                    f"{'ok' if c['ok'] else 'MISMATCH'}: {c['label']}"
-                    f"{': ' + c['detail'] if c['detail'] else ''}"
-                    for c in checks
-                ),
-                f"selftest {verdict}",
-            ]
-        ),
+        lambda: [
+            *(
+                f"{'ok' if c['ok'] else 'MISMATCH'}: {c['label']}"
+                f"{': ' + c['detail'] if c['detail'] else ''}"
+                for c in checks
+            ),
+            f"selftest {verdict}",
+        ],
     )
+    return 0 if failures == 0 else 1
 
 
 def _add(
     subs: argparse._SubParsersAction,
     name: str,
-    func: Callable[[argparse.Namespace], tuple[int, str]],
+    func: Callable[[argparse.Namespace], Optional[int]],
     help: str,
     kn: bool = True,
 ) -> argparse.ArgumentParser:
@@ -561,8 +561,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 raise ContractError(
                     f"--time-limit {args.time_limit:g} is too large for the timer"
                 ) from None
-        code, text = args.func(args)
-        sys.stdout.write(text + "\n")
+        code = args.func(args) or 0
         sys.stdout.flush()
         return code
     except ContractError as exc:
@@ -571,6 +570,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ResourceLimitError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 4
+    except BrokenPipeError:
+        # the reader is gone: the interpreter's last flush of what is left
+        # goes to devnull, so that it raises nothing more
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except Exception:
         import traceback
 

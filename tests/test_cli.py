@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: output text, formats, exit codes."""
 
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -325,11 +326,67 @@ def test_tables_and_generic_plain_build_no_json(capsys, monkeypatch):
     assert out.splitlines()[-1] == "1 real, 0 almost real"
     # the tables json object is a literal with no method to refuse, so
     # _render is cut down to its plain branch: tables must hand it a builder
-    # of the plain text that needs neither of the other two
-    monkeypatch.setattr(jkn.cli, "_render", lambda args, obj, plain, *csv: plain())
+    # of the plain lines that needs neither of the other two
+    monkeypatch.setattr(
+        jkn.cli,
+        "_render",
+        lambda args, obj, plain, *csv: sys.stdout.writelines(
+            line + "\n" for line in plain()
+        ),
+    )
     code, out = run(capsys, "tables", "3", "8", "--max", "2")
     assert code == 0
     assert out.splitlines() == ["degree 1: 56", "degree 2: 28"]
+
+
+class _WriteSizes:
+    """A stdout that records what each write call is given."""
+
+    def __init__(self) -> None:
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv"])
+def test_generic_output_is_written_as_it_is_rendered(monkeypatch, fmt):
+    """No write holds more than one line: the output is never buffered
+    whole before it goes to stdout."""
+    spy = _WriteSizes()
+    monkeypatch.setattr(sys, "stdout", spy)
+    assert main(["generic", "--degree", "6", "--format", fmt]) == 0
+    lines = "".join(spy.writes).splitlines()
+    # one line per orbit, and the csv header or the plain summary
+    assert len(lines) == len(jkn.enumerate_generic(6)) + 1 == 58
+    assert max(map(len, spy.writes)) <= max(map(len, lines)) + 1
+
+
+def test_closed_pipe_exits_141_quietly():
+    """A reader that has already exited is no internal error: the status
+    is the 141 a shell reports for a writer killed by SIGPIPE, and stderr
+    stays empty."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "from jkn.cli import main; raise SystemExit("
+                "main(['generic', '--degree', '6']))",
+            ],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 @pytest.mark.parametrize("k,n,d", [(3, 1500, 2), (1000, 1001, 1)])

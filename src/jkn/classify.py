@@ -23,7 +23,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .errors import ContractError
-from .lattice import LatticeVector, SystemParams, _admit, _trusted
+from .lattice import LatticeVector, SystemParams, _admit, _slot_init, _trusted
 
 __all__ = [
     "Kind",
@@ -104,25 +104,8 @@ class ReductionStep:
     r: int
     degree_after: int
 
-    def __init__(
-        self,
-        before_sort: LatticeVector,
-        sorted: LatticeVector,
-        r: int,
-        degree_after: int,
-    ) -> None:
-        _set_before_sort(self, before_sort)
-        _set_sorted(self, sorted)
-        _set_r(self, r)
-        _set_degree_after(self, degree_after)
 
-
-# __init__ stores each field through its slot's member descriptor: the
-# frozen class's __setattr__ refuses, and object.__setattr__ costs about
-# twice as much.
-_set_before_sort, _set_sorted, _set_r, _set_degree_after = (
-    ReductionStep.__dict__[name].__set__ for name in ReductionStep.__match_args__
-)
+ReductionStep.__init__ = _slot_init(ReductionStep)
 
 
 @dataclass(frozen=True, slots=True)

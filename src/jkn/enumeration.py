@@ -30,7 +30,8 @@ from typing import Callable
 
 from .classify import TerminalKind, _walk
 from .errors import ContractError
-from .lattice import LatticeVector, SystemParams, _extended, _stripped, _trusted
+from .lattice import LatticeVector, SystemParams, _extended, _slot_init
+from .lattice import _stripped, _trusted
 
 __all__ = [
     "OrbitKind",
@@ -61,20 +62,6 @@ class OrbitClass:
     orbit_size: int
     multiset_signature: tuple[tuple[int, int], ...]
 
-    def __init__(
-        self,
-        representative: LatticeVector,
-        degree: int,
-        kind: OrbitKind,
-        orbit_size: int,
-        multiset_signature: tuple[tuple[int, int], ...],
-    ) -> None:
-        _set_representative(self, representative)
-        _set_orbit_degree(self, degree)
-        _set_orbit_kind(self, kind)
-        _set_orbit_size(self, orbit_size)
-        _set_multiset_signature(self, multiset_signature)
-
     def as_json_dict(self) -> dict:
         return {
             "representative": list(self.representative.x),
@@ -101,20 +88,6 @@ class GenericOrbit:
     degree: int
     kind: OrbitKind
 
-    def __init__(
-        self,
-        core: tuple[int, ...],
-        core_params: SystemParams,
-        d_multiplicity_offset: int,
-        degree: int,
-        kind: OrbitKind,
-    ) -> None:
-        _set_core(self, core)
-        _set_core_params(self, core_params)
-        _set_offset(self, d_multiplicity_offset)
-        _set_generic_degree(self, degree)
-        _set_generic_kind(self, kind)
-
     def specialize(self, params: SystemParams) -> LatticeVector:
         """The orbit's representative inside J(params): the core extended."""
         what = f"orbit with minimal support {self.core_params}"
@@ -132,23 +105,13 @@ class GenericOrbit:
         }
 
 
+OrbitClass.__init__ = _slot_init(OrbitClass)
+GenericOrbit.__init__ = _slot_init(GenericOrbit)
+
+
 # A walk's end and the orbit kind it gives, looked up once per orbit
 _MINUS_BETA = TerminalKind.REACHED_MINUS_BETA
 _REAL, _ALMOST_REAL = OrbitKind.REAL, OrbitKind.ALMOST_REAL
-
-# Each __init__ stores the fields through their slots' member descriptors,
-# as `classify.ReductionStep` does: the frozen class's __setattr__ refuses,
-# and object.__setattr__ costs about twice as much.
-(
-    _set_representative,
-    _set_orbit_degree,
-    _set_orbit_kind,
-    _set_orbit_size,
-    _set_multiset_signature,
-) = (OrbitClass.__dict__[name].__set__ for name in OrbitClass.__match_args__)
-_set_core, _set_core_params, _set_offset, _set_generic_degree, _set_generic_kind = (
-    GenericOrbit.__dict__[name].__set__ for name in GenericOrbit.__match_args__
-)
 
 
 def _fits(w: int, slots: int, s: int, t: int) -> bool:

@@ -1,10 +1,9 @@
 """Exception types shared across the package.
 
 Contract violations (bad preconditions, malformed input) raise
-:class:`ContractError` with a message naming the failed condition.
-Resource guards (state caps, runaway enumerations) raise
-:class:`ResourceLimitError` so callers can distinguish "you asked for
-something invalid" from "this grew too big".
+:class:`ContractError` with a message naming the failed condition.  A run
+stopped by a cap raises :class:`ResourceLimitError`.  In the library only the
+CLI's ``--time-limit`` raises it; the tests' BFS oracle raises it at its cap.
 """
 
 
@@ -17,4 +16,4 @@ class NotInLatticeError(ContractError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A configured resource cap (visited states, time) was exceeded."""
+    """A cap was exceeded: the CLI's --time-limit, or the test oracle's visited cap."""

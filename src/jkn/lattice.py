@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import index, neg
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import ContractError, NotInLatticeError
 
@@ -77,8 +77,8 @@ class LatticeVector:
     `_trusted`: a negation, the steps of a contraction walk, an orbit
     representative built from its signature, and the entries `classify_entries`
     has already checked.  `_trusted` stores such a proved vector through its
-    slots and runs no `__init__`.  Every vector that comes in from a caller is
-    checked.
+    slots with the `_slot_init` store the records use.  Every vector that
+    comes in from a caller is checked.
     """
 
     params: SystemParams
@@ -92,18 +92,9 @@ class LatticeVector:
                 f"coordinate sum {sum(x)} is not divisible by k={self.params.k}"
             )
 
-    @classmethod
-    def _trusted(cls, params: SystemParams, x: tuple[int, ...]) -> "LatticeVector":
-        """A vector of ints the caller has proved to be in J(params)'s lattice;
-        nothing is checked, and the fields go straight into their slots."""
-        v = _new(cls)
-        _set_params(v, params)
-        _set_x(v, x)
-        return v
-
     def __neg__(self) -> "LatticeVector":
         # the negation of a lattice vector is a lattice vector
-        return self._trusted(self.params, tuple(map(neg, self.x)))
+        return _trusted(self.params, tuple(map(neg, self.x)))
 
     def __add__(self, other: "LatticeVector") -> "LatticeVector":
         _require_same_params(self, other)
@@ -121,14 +112,38 @@ class LatticeVector:
         return {"k": self.params.k, "n": self.params.n, "x": list(self.x)}
 
 
-# The slots' own member descriptors store a field without the frozen
-# class's __setattr__, at the cost of the store alone.
-_new = object.__new__
-_set_params = LatticeVector.__dict__["params"].__set__
-_set_x = LatticeVector.__dict__["x"].__set__
-# Bound once, right after the class, for the other modules to import by name:
-# the benchmark's tracer rebinds `LatticeVector` to a wrapper function.
-_trusted = LatticeVector._trusted
+def _slot_init(cls: type) -> Callable[..., None]:
+    """An ``__init__`` for the frozen slots dataclass ``cls`` that takes its
+    fields in ``__match_args__`` order and stores each straight through its
+    slot's member descriptor, with no checks.  The frozen class's
+    ``__setattr__`` refuses the store, and ``object.__setattr__`` costs about
+    twice as much.  Like the ``__init__`` `dataclasses` writes, it is compiled
+    from a few lines of source whose only inputs are the field names."""
+    names = cls.__match_args__
+    stores = "".join(f"\n    _set_{name}(self, {name})" for name in names)
+    namespace = {f"_set_{name}": cls.__dict__[name].__set__ for name in names}
+    exec(f"def __init__(self, {', '.join(names)}):{stores}", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    init.__annotations__ = {name: cls.__annotations__[name] for name in names}
+    return init
+
+
+def _trusted(
+    params: SystemParams,
+    x: tuple[int, ...],
+    _new: Callable[[type], object] = object.__new__,
+    _cls: type = LatticeVector,
+    _init: Callable[..., None] = _slot_init(LatticeVector),
+) -> LatticeVector:
+    """A vector of ints the caller has proved to be in J(params)'s lattice;
+    nothing is checked, and the fields go straight into their slots.  The
+    class is bound here, at import: the benchmark's tracer rebinds the name
+    `LatticeVector` to a wrapper function."""
+    v = _new(_cls)
+    _init(v, params, x)
+    return v
 
 
 @dataclass(frozen=True, slots=True)

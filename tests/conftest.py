@@ -105,6 +105,17 @@ def all_candidates(k: int, n: int, d: int) -> list[tuple[int, ...]]:
     return out
 
 
+def sorted_candidates(k: int, n: int, d: int) -> list[tuple[int, ...]]:
+    """The non-increasing vectors with entries in [0, d], coordinate sum kd
+    and q = 2, lexicographically descending."""
+    want_sq = 2 + (k - 2) * d * d
+    return [
+        t
+        for t in itertools.combinations_with_replacement(range(d, -1, -1), n)
+        if sum(t) == k * d and sum(c * c for c in t) == want_sq
+    ]
+
+
 def bruteforce_positive_real_roots(
     params: SystemParams, max_degree: int, visited_cap: int = 10_000_000
 ) -> set[LatticeVector]:

@@ -8,7 +8,7 @@ from itertools import chain, repeat, starmap
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import all_candidates, bruteforce_positive_real_roots
+from conftest import all_candidates, bruteforce_positive_real_roots, sorted_candidates
 from jkn import (
     ContractError,
     LatticeVector,
@@ -147,12 +147,22 @@ def test_orbits_match_exhaustive_candidates():
                     )
 
 
+@pytest.mark.parametrize("k,n,top", [(3, 11, 5), (4, 10, 6), (5, 10, 6), (3, 12, 6)])
+def test_orbits_match_sorted_candidates(k, n, top):
+    """Past n = 8, where almost-real roots appear, the sorted candidates are
+    listed directly: they are the representatives of both kinds, in order."""
+    p = SystemParams(k, n)
+    for d in range(1, top + 1):
+        reps = [oc.representative.x for oc in enumerate_orbits(p, d)]
+        assert reps == sorted_candidates(k, n, d), (k, n, d)
+
 
 @pytest.mark.parametrize("k,n,top", [(3, 10, 6), (3, 11, 5)])
 def test_orbits_match_weyl_orbit_oracle(k, n, top):
     """Past the reach of the exhaustive candidates, the BFS over the Weyl
     orbit of beta lists the real roots of each degree: sorted, they are the
-    REAL representatives, and each is met orbit_size times."""
+    REAL representatives, and each is met orbit_size times.  The sorted
+    candidates it misses are the ALMOST_REAL representatives."""
     p = SystemParams(k, n)
     met = Counter(
         (degree(v), tuple(sorted(v.x, reverse=True)))
@@ -160,13 +170,19 @@ def test_orbits_match_weyl_orbit_oracle(k, n, top):
     )
     for d in range(1, top + 1):
         oracle = {x: count for (e, x), count in met.items() if e == d}
+        orbits = enumerate_orbits(p, d)
         claimed = {
             oc.representative.x: oc.orbit_size
-            for oc in enumerate_orbits(p, d)
+            for oc in orbits
             if oc.kind is OrbitKind.REAL
         }
         assert set(oracle) == set(claimed), (k, n, d)
         assert oracle == claimed, (k, n, d)
+        almost = [
+            oc.representative.x for oc in orbits if oc.kind is OrbitKind.ALMOST_REAL
+        ]
+        missed = [x for x in sorted_candidates(k, n, d) if x not in oracle]
+        assert almost == missed, (k, n, d)
 
 
 def test_extend_is_monotone():

@@ -1,18 +1,21 @@
 """Vectors the library builds without re-running the constructor's checks.
 
 A negation, the steps of a contraction walk, an orbit representative and
-the entries `classify_entries` has checked are built with
-`LatticeVector._trusted`.  Each is rebuilt here through the public
-constructor, which must accept it and give back an equal vector of ints.
-The walk's `ReductionStep` records, and the `OrbitClass` and `GenericOrbit`
-records of the orbit search, each have one constructor: an `__init__` written
-by hand that stores the fields slot by slot.  Each record the library returns
-must equal the one built from freshly checked vectors, and each class's
-`__init__` must keep to its dataclass fields.
+the entries `classify_entries` has checked are built with `lattice._trusted`.
+Each is rebuilt here through the public constructor, which must accept it
+and give back an equal vector of ints, and `_trusted` must keep working when
+the name `LatticeVector` is rebound to a wrapper function, as the benchmark's
+tracer does.  The walk's `ReductionStep` records, and the `OrbitClass` and
+`GenericOrbit` records of the orbit search, each have one constructor: the
+`__init__` that `lattice._slot_init` generates, storing the fields slot by
+slot.  Each record the library returns must equal the one built from freshly
+checked vectors, and each class's `__init__` must keep to its dataclass
+fields and read like a method written in the class.
 """
 
 import copy
 import dataclasses
+import importlib
 import inspect
 import pickle
 
@@ -157,6 +160,36 @@ def test_generic_orbits_equal_the_public_constructor():
         _assert_same_record(g, public)
 
 
+def _unchecked_results():
+    real = LatticeVector(SystemParams(3, 8), (2, 1, 1, 1, 1, 1, 1, 1))
+    almost = LatticeVector(SystemParams(4, 10), (3, 3, 3, 1, 1, 1, 1, 1, 1, 1))
+    return (
+        enumerate_orbits(SystemParams(3, 10), 3),
+        enumerate_generic(5),
+        classify_entries(real.params, real.x),
+        classify_entries(almost.params, almost.x),
+        -real,
+    )
+
+
+def test_unchecked_vectors_survive_a_rebound_class_name(monkeypatch):
+    """`_trusted` binds the class at import: with `LatticeVector` rebound to
+    a plain function in every `jkn` namespace that holds it, every path that
+    builds unchecked vectors returns the same records as before."""
+    expected = _unchecked_results()
+    assert expected[3].kind.is_almost_real and expected[2].kind.is_real
+
+    def wrapper(*args, **kwargs):
+        return LatticeVector(*args, **kwargs)
+
+    for name in ("", ".lattice", ".classify", ".enumeration", ".families", ".cli"):
+        module = importlib.import_module("jkn" + name)
+        monkeypatch.setattr(module, "LatticeVector", wrapper)
+    results = _unchecked_results()
+    assert results == expected
+    assert type(results[0][0].representative) is type(results[4]) is LatticeVector
+
+
 def test_walk_names_the_whole_nonpositive_end():
     """(2, 0) in J(2, 2) has degree 1 and q = 4: the walk's one step lands on
     (0, -2), which is not -beta, and the error shows that vector whole."""
@@ -190,12 +223,14 @@ RECORDS = {
 
 @pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
 def test_record_init_keeps_to_its_fields(cls):
-    """The hand-written __init__ takes the dataclass fields, in order, and
-    stores each argument in its own slot."""
+    """The generated __init__ takes the dataclass fields, in order, stores
+    each argument in its own slot, and is named as a method of the class."""
     record = RECORDS[cls]()
     names = tuple(field.name for field in dataclasses.fields(cls))
     assert tuple(inspect.signature(cls).parameters) == names
     assert cls.__match_args__ == names
+    assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+    assert cls.__init__.__module__ == cls.__module__
     values = [getattr(record, name) for name in names]
     assert cls(*values) == cls(**dict(zip(names, values))) == record
     marker = object()
@@ -208,3 +243,5 @@ def test_record_init_keeps_to_its_fields(cls):
     assert copy.deepcopy(record) == record
     with pytest.raises(TypeError):
         cls(*values[:-1])
+    with pytest.raises(TypeError):
+        cls(*values, no_such_field=values[0])

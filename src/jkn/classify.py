@@ -13,14 +13,21 @@ Degree-0 real roots are exactly the differences e_i - e_j and are handled
 structurally.  The classifier covers every input: zero, negative degrees
 (by sign mirror), non-lattice tuples (via :func:`classify_entries`), and
 vectors failing (1) or (2).
+
+x is sorted once, into its signature: the (value, multiplicity) pairs,
+values descending.  The sum, the window ends and q are read off the
+signature, and the walk steps on signatures, at a cost per step of the
+number of distinct values.  A trace keeps each step's signature, r and
+degree; its :class:`ReductionStep` records, with their vectors, are built
+when a caller first reads ``steps``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from operator import mul
-from typing import Optional, Sequence
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from typing import Iterator, Optional, Sequence
 
 from .errors import ContractError
 from .lattice import LatticeVector, SystemParams, _admit, _slot_init, _trusted
@@ -108,25 +115,71 @@ class ReductionStep:
 ReductionStep.__init__ = _slot_init(ReductionStep)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class ReductionTrace:
-    steps: tuple[ReductionStep, ...]
+    """How the walk ended, and its steps, built when first read.
+
+    The walk keeps each step as the signature of its sorted vector, its r
+    and its degree_after.  ``steps`` expands these into :class:`ReductionStep`
+    records the first time it is read and keeps them; step 0's
+    ``before_sort`` is the walk's input.  The kept signatures decide
+    equality: two traces are equal exactly when their steps and terminals
+    are.
+    """
+
     terminal: TerminalKind
+    _input: Optional[LatticeVector] = None
+    _walked: tuple[tuple[tuple, int, int], ...] = ()
+    _steps: Optional[tuple[ReductionStep, ...]] = field(
+        default=None, init=False, compare=False
+    )
+
+    @property
+    def steps(self) -> tuple[ReductionStep, ...]:
+        steps = self._steps
+        if steps is None:
+            steps = tuple(self._expanded())
+            object.__setattr__(self, "_steps", steps)
+        return steps
+
+    def _rows(self) -> Iterator[tuple[tuple[int, ...], int, int]]:
+        """(sorted entries, r, degree_after) of each step, built one at a
+        time and not kept."""
+        for sig, r, d_after in self._walked:
+            yield _entries(sig), r, d_after
+
+    def _expanded(self) -> Iterator[ReductionStep]:
+        """The steps, built one at a time and not kept.  The vectors are
+        built unchecked: step i's input is s_beta of step i-1's sorted
+        vector, and s_beta(y) = y + r*beta stays in the lattice, as does the
+        sorted permutation of a lattice vector."""
+        before, prev = self._input, None
+        for srt, r, d_after in self._rows():
+            params = before.params
+            if prev is not None:
+                k = params.k
+                shifted = tuple([c + shift for c in prev[:k]]) + prev[k:]
+                before = _trusted(params, shifted)
+            yield ReductionStep(before, _trusted(params, srt), r, d_after)
+            prev, shift = srt, r
 
     def as_json_dict(self) -> dict:
         return {
             "steps": [
-                {"sorted": list(s.sorted.x), "r": s.r, "degree": s.degree_after}
-                for s in self.steps
+                {"sorted": list(srt), "r": r, "degree": d_after}
+                for srt, r, d_after in self._rows()
             ],
             "terminal": _terminal_label(self),
         }
+
+    def __repr__(self) -> str:
+        return f"ReductionTrace(steps={self.steps!r}, terminal={self.terminal!r})"
 
 
 def _terminal_label(trace: ReductionTrace) -> str:
     """How the trace ended, as its JSON names it; a range break before any
     step is "range"."""
-    if trace.terminal is TerminalKind.RANGE_VIOLATION and not trace.steps:
+    if trace.terminal is TerminalKind.RANGE_VIOLATION and not trace._walked:
         return "range"
     return _TERMINAL_JSON[trace.terminal]
 
@@ -147,108 +200,125 @@ class Classification:
     degree: Optional[int] = None
 
 
-# (before, sorted, r, degree_after), the raw form of a ReductionStep; step
-# 0's before is the walk's input, already sorted
-_StepRecord = tuple[tuple[int, ...], tuple[int, ...], int, int]
+def _entries(sig: tuple) -> tuple[int, ...]:
+    """The non-increasing entries that a signature stands for."""
+    out: list[int] = []
+    for c, m in sig:
+        out += [c] * m
+    return tuple(out)
+
+
+def _signature(x: Sequence[int]) -> tuple[tuple, int, int]:
+    """The signature of x, its (value, multiplicity) pairs with values
+    descending, and the sum and square sum of x read off it: one sort, then
+    one bisection per distinct value."""
+    s = sorted(x)
+    sig = []
+    total = squares = 0
+    i, n = 0, len(s)
+    while i < n:
+        c = s[i]
+        j = bisect_right(s, c, i)
+        m = j - i
+        sig.append((c, m))
+        total += c * m
+        squares += c * c * m
+        i = j
+    sig.reverse()
+    return tuple(sig), total, squares
 
 
 def _walk(
     k: int,
-    x: Sequence[int],
-    steps: Optional[list[_StepRecord]] = None,
-    known: Optional[dict[tuple[int, ...], TerminalKind]] = None,
+    d: int,
+    sig: tuple,
+    steps: Optional[list[tuple[tuple, int, int]]] = None,
+    known: Optional[dict[tuple, TerminalKind]] = None,
 ) -> TerminalKind:
-    """The contraction walk x -> s_beta(dec(x)) on raw entries.
+    """The contraction walk x -> s_beta(dec(x)) on the signature of x.
 
-    Caller guarantees: entries non-increasing and in [0, d], q = 2, d >= 1,
-    so only steps 1 and later sort.  When ``steps`` is a list, each step is
-    appended to it as (before, sorted, r, degree_after), where step 0's
-    before and sorted are both the input.  The head (first k entries,
-    shifted by r) and the tail stay sorted, so the window [0, degree_after]
-    is checked at their ends only.
+    ``sig`` holds the (value, multiplicity) pairs of x, values descending
+    and multiplicities positive, the form the orbit search builds.  Caller
+    guarantees: d >= 1 is the degree, the entries lie in [0, d], q = 2.  A
+    step splits off the pairs of the top k entries, shifts their values by
+    r and merges them back into the rest, so it costs O(distinct values),
+    not a sort of n entries.  The head (first k entries, shifted) and the
+    tail stay sorted, so the window [0, degree_after] is checked at their
+    ends only.  When ``steps`` is a list, each step is appended to it as
+    (signature, r, degree_after), the signature being that of the step's
+    sorted vector; step 0's is ``sig``.
 
     ``known`` is a memo for the walks of one enumeration, all with this k:
-    the walk's later steps depend only on the sorted vector, so the walk
-    stops at the first sorted vector from step 1 on that ``known`` holds,
-    takes its terminal, and stores the terminal for every sorted vector from
-    step 1 on that it passed.  Step 0's sorted vector is the input itself;
-    within one degree no walk meets it again, since the degree drops every
-    step.  A walk that records ``steps`` passes no memo.
+    the walk's later steps depend only on the signature, so the walk stops
+    at the first signature from step 1 on that ``known`` holds, takes its
+    terminal, and stores the terminal for every signature from step 1 on
+    that it passed.  Step 0's signature is the input itself; within one
+    degree no walk meets it again, since the degree drops every step.  A
+    walk that records ``steps`` passes no memo.
     """
-    d = sum(x) // k
     path = []
-    s = x
     for i in range(d + 1):  # the degree drops every step
-        if i:
-            s = sorted(x, reverse=True)
-            if known is not None:
-                key = tuple(s)
-                terminal = known.get(key)
-                if terminal is not None:
-                    break
-                path.append(key)
-        tail = s[k:]
-        r = sum(tail) - 2 * d
+        if i and known is not None:
+            terminal = known.get(sig)
+            if terminal is not None:
+                break
+            path.append(sig)
+        # the top k entries: the pairs before sig[j], and `left` copies of c
+        j, left, head = 0, k, 0
+        c, m = sig[0]
+        while m < left:
+            head += c * m
+            left -= m
+            j += 1
+            c, m = sig[j]
+        r = k * d - head - c * left - 2 * d  # the tail's sum, minus 2d
         d += r
         if steps is not None:
-            steps.append((tuple(x), tuple(s), r, d))
-        # the output is the head s[:k] shifted by r, then the tail, both
-        # sorted, so its ends bound it and it is built only if the walk goes on
-        first, last = s[0] + r, s[k - 1] + r
-        hi = max(first, tail[0]) if tail else first
-        lo = min(last, tail[-1]) if tail else last
+            steps.append((sig, r, d))
+        # the output is the head shifted by r, then the tail: m - left copies
+        # of c and the pairs after sig[j].  Both are sorted, so their ends
+        # bound it, and it is merged only if the walk goes on.
+        first, last = sig[0][0] + r, c + r
+        if m > left or j + 1 < len(sig):
+            top, bottom = c if m > left else sig[j + 1][0], sig[-1][0]
+            hi = first if first > top else top
+            lo = last if last < bottom else bottom
+        else:  # no tail
+            hi, lo, bottom = first, last, 0
         if hi <= 0:
-            # The input s had entries in [0, d], so an all-nonpositive output
+            # The input had entries in [0, d], so an all-nonpositive output
             # has an all-zero tail and r = -2d.  Then the head sums to k*d and
-            # q = sum s_i^2 - (k-2) d^2 >= k d^2 - (k-2) d^2 = 2 d^2, with
+            # q = sum x_i^2 - (k-2) d^2 >= k d^2 - (k-2) d^2 = 2 d^2, with
             # equality only when the head is constant: q = 2 forces d = 1 and
-            # s = beta, whose output is -beta.  Any other end breaks the
+            # x = beta, whose output is -beta.  Any other end breaks the
             # caller's guarantee.
-            if first == last == -1 and (not tail or tail[-1] == 0):
+            if first == last == -1 and bottom == 0:
                 terminal = TerminalKind.REACHED_MINUS_BETA
                 break
-            out = [c + r for c in s[:k]]
-            out += tail
+            entries = _entries(sig)
+            vector = tuple(e + r for e in entries[:k]) + entries[k:]
             raise RuntimeError(
-                f"the walk reached the nonpositive vector {tuple(out)},"
+                f"the walk reached the nonpositive vector {vector},"
                 " not -beta: its input broke the range or q = 2 precondition"
             )
         if lo < 0 or hi > d:
             terminal = TerminalKind.RANGE_VIOLATION
             break
-        # s may be the caller's tuple, so the tail is appended, not added
-        x = [c + r for c in s[:k]]
-        x += tail
+        out = dict(sig[j + 1 :])
+        if m > left:
+            out[c] = m - left
+        get = out.get
+        for value, mult in sig[:j]:
+            value += r
+            out[value] = get(value, 0) + mult
+        c += r
+        out[c] = get(c, 0) + left
+        sig = tuple(sorted(out.items(), reverse=True))
     else:
         raise RuntimeError("reduction failed to terminate")
     for key in path:
         known[key] = terminal
     return terminal
-
-
-def _trace(v: LatticeVector) -> ReductionTrace:
-    """The walk's full record, for a range-valid q = 2 vector of degree >= 1.
-
-    The step vectors are built unchecked: the walk keeps every vector in the
-    lattice.
-    """
-    params = v.params
-    raw_steps: list[_StepRecord] = []
-    terminal = _walk(params.k, sorted(v.x, reverse=True), raw_steps)
-    steps = tuple(
-        ReductionStep(
-            # step i's input is s_beta of step i-1's sorted vector, and
-            # s_beta(y) = y + r*beta stays in the lattice; step 0's is v,
-            # which the walk was handed sorted
-            _trusted(params, before) if i else v,
-            # a permutation of `before_sort`, so in the lattice too
-            _trusted(params, srt),
-            r,
-            d_after,
-        )
-        for i, (before, srt, r, d_after) in enumerate(raw_steps)
-    )
-    return ReductionTrace(steps, terminal)
 
 
 def reduce_trace(v: LatticeVector) -> ReductionTrace:
@@ -258,10 +328,11 @@ def reduce_trace(v: LatticeVector) -> ReductionTrace:
     the range and q checks are those of :func:`classify`, whose trace this
     is.  Step 0's ``before_sort`` is ``v`` itself.
     """
-    d = sum(v.x) // v.params.k
+    sig, total, squares = _signature(v.x)
+    d = total // v.params.k
     if d < 1:
         raise ContractError(f"reduce_trace requires degree >= 1, got degree {d}")
-    c = classify(v)
+    c = _classified(v, sig, total, squares)
     if c.kind is Kind.NOT_REAL_RANGE:
         raise ContractError(
             f"reduce_trace requires all entries in [0, {d}] (the degree)"
@@ -273,42 +344,55 @@ def reduce_trace(v: LatticeVector) -> ReductionTrace:
 
 def classify(v: LatticeVector) -> Classification:
     """Classify a lattice vector; see the module docstring for the cases."""
+    return _classified(v, *_signature(v.x))
+
+
+def _classified(
+    v: LatticeVector, sig: tuple, total: int, squares: int
+) -> Classification:
+    """:func:`classify` of v, given its signature, sum and square sum: the
+    degree, the window ends and q are read off these, not off v's entries."""
     k = v.params.k
-    x = v.x
-    d = sum(x) // k
-    if not any(x):
-        return Classification(Kind.ZERO, degree=0)
+    d = total // k
     if d < 0:
-        mirror = classify(-v)
+        mirror = _classified(
+            -v, tuple((-c, m) for c, m in reversed(sig)), -total, squares
+        )
         flipped = _MIRROR_KIND.get(mirror.kind, mirror.kind)
         return Classification(
             flipped, trace=mirror.trace, q_value=mirror.q_value, degree=d
         )
+    hi, lo = sig[0][0], sig[-1][0]
     if d == 0:
-        if x.count(1) == x.count(-1) == 1 and x.count(0) == v.params.n - 2:
+        if hi == lo == 0:
+            return Classification(Kind.ZERO, degree=0)
+        # one 1, one -1, and any other entries 0
+        if sig[0] == (1, 1) and sig[-1] == (-1, 1) and len(sig) <= 3:
             return Classification(Kind.DEGREE_ZERO_REAL, degree=0)
-        qv = sum(map(mul, x, x))
-        return Classification(Kind.NOT_REAL_Q, q_value=qv, degree=0)
-    if min(x) < 0 or max(x) > d:
-        trace = ReductionTrace((), TerminalKind.RANGE_VIOLATION)
+        return Classification(Kind.NOT_REAL_Q, q_value=squares, degree=0)
+    if lo < 0 or hi > d:
+        trace = ReductionTrace(TerminalKind.RANGE_VIOLATION)
         return Classification(Kind.NOT_REAL_RANGE, trace=trace, degree=d)
-    qv = sum(map(mul, x, x)) + (2 - k) * d * d
+    qv = squares + (2 - k) * d * d
     if qv != 2:
-        trace = ReductionTrace((), TerminalKind.Q_VIOLATION)
+        trace = ReductionTrace(TerminalKind.Q_VIOLATION)
         return Classification(Kind.NOT_REAL_Q, trace=trace, q_value=qv, degree=d)
-    full = _trace(v)
-    if full.terminal is TerminalKind.REACHED_MINUS_BETA:
+    walked: list[tuple[tuple, int, int]] = []
+    terminal = _walk(k, d, sig, walked)
+    if terminal is TerminalKind.REACHED_MINUS_BETA:
         kind = Kind.REAL_POSITIVE
     else:
         # a range break: conditions (1) and (2) held but the walk broke (1)
         kind = Kind.ALMOST_REAL_POSITIVE
-    return Classification(kind, trace=full, degree=d)
+    trace = ReductionTrace(terminal, v, tuple(walked))
+    return Classification(kind, trace=trace, degree=d)
 
 
 def classify_entries(params: SystemParams, entries: Sequence[int]) -> Classification:
     """Classify raw integer entries, reporting NotInLattice instead of raising."""
     entries = _admit(params, entries)
-    if sum(entries) % params.k != 0:
+    sig, total, squares = _signature(entries)
+    if total % params.k != 0:
         return Classification(Kind.NOT_IN_LATTICE)
     # ints, of the right length, with k | sum: the constructor's own checks
-    return classify(_trusted(params, entries))
+    return _classified(_trusted(params, entries), sig, total, squares)

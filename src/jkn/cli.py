@@ -126,14 +126,12 @@ def _spaced(entries: Sequence[int]) -> str:
     return " ".join(str(c) for c in entries)
 
 
-def _trace_lines(trace: ReductionTrace, indent: str) -> list[str]:
-    lines = [
-        f"{indent}step {i}: sorted={_vec_str(step.sorted.x)}"
-        f" r={step.r} degree_after={step.degree_after}"
-        for i, step in enumerate(trace.steps, start=1)
-    ]
-    lines.append(f"{indent}terminal: {_TERMINAL_MESSAGES[_terminal_label(trace)]}")
-    return lines
+def _trace_lines(trace: ReductionTrace, indent: str) -> Iterator[str]:
+    """The trace's plain lines, each step's built as that step is expanded,
+    so no more than one expanded step is held at a time."""
+    for i, (srt, r, d_after) in enumerate(trace._rows(), start=1):
+        yield f"{indent}step {i}: sorted={_vec_str(srt)} r={r} degree_after={d_after}"
+    yield f"{indent}terminal: {_TERMINAL_MESSAGES[_terminal_label(trace)]}"
 
 
 def _render(
@@ -199,11 +197,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_reduce(args: argparse.Namespace) -> None:
     v = LatticeVector(SystemParams(args.k, args.n), _parse_vector(args.vector))
     trace = reduce_trace(v)
-    _render(
-        args,
-        trace.as_json_dict,
-        lambda: [f"input {_vec_str(v.x)} degree {degree(v)}", *_trace_lines(trace, "")],
-    )
+
+    def plain() -> Iterator[str]:
+        yield f"input {_vec_str(v.x)} degree {degree(v)}"
+        yield from _trace_lines(trace, "")
+
+    _render(args, trace.as_json_dict, plain)
 
 
 def _summary(

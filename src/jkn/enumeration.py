@@ -8,9 +8,10 @@ each, and weighting by the orbit size n! / prod(multiplicities!).
 The search picks the multiplicities (m_d, ..., m_1, m_0) of a
 representative's entries, recursing only on a nonzero one, so it is at most
 min(d, n) + 1 calls deep; the signature, representative and orbit size all
-come from those multiplicities.  The search carries each representative's
-entries down next to its signature and hands the pair to the walk at the
-leaf, one call per orbit, so no list of them is ever held.
+come from those multiplicities.  At each leaf the walk takes the signature
+as it is, one call per orbit, so no list of them is ever held; the search
+also carries the representative's entries down next to the signature, for
+the orbit's record.
 
 Every orbit of degree d, over all (k, n) at once, is captured by a finite
 list of generic orbits: stripped to minimal support, a representative is a
@@ -175,12 +176,13 @@ def _search(
 
 def _classes(k: int, n: int, d: int, record: Callable) -> None:
     """Calls record(signature, entries, kind) for each orbit of degree d in
-    J(k,n), descending, as the search reaches it; the walks share one memo
-    of sorted vectors, which lives for this call."""
-    known: dict[tuple[int, ...], TerminalKind] = {}
+    J(k,n), descending, as the search reaches it; the walk takes the
+    signature as the search built it, and the walks share one memo of
+    signatures, which lives for this call."""
+    known: dict[tuple, TerminalKind] = {}
 
     def leaf(sig: tuple, x: tuple) -> None:
-        real = _walk(k, x, known=known) is _MINUS_BETA
+        real = _walk(k, d, sig, known=known) is _MINUS_BETA
         record(sig, x, _REAL if real else _ALMOST_REAL)
 
     _search(d, n, k * d, 2 + (k - 2) * d * d, (), (), leaf)

@@ -74,9 +74,10 @@ class LatticeVector:
     integers pass, floats and strings do not) and checks the length and
     lattice membership (k | sum of entries) eagerly.  Only a vector the
     library has proved to lie in the lattice skips these checks, through
-    `_trusted`: a negation, the steps of a contraction walk, an orbit
-    representative built from its signature, and the entries `classify_entries`
-    has already checked.  `_trusted` stores such a proved vector through its
+    `_trusted`: a negation, the vectors of a trace's steps (expanded from
+    the walk's signatures when the steps are read), an orbit representative
+    built from its signature, and the entries `classify_entries` has
+    already checked.  `_trusted` stores such a proved vector through its
     slots with the `_slot_init` store the records use.  Every vector that
     comes in from a caller is checked.
     """

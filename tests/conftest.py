@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import Sequence
 
 from hypothesis import HealthCheck, settings, strategies as st
 
@@ -13,6 +14,7 @@ from jkn import (
     OrbitKind,
     ResourceLimitError,
     SystemParams,
+    TerminalKind,
     beta_vector,
     enumerate_orbits,
     inner,
@@ -114,6 +116,35 @@ def sorted_candidates(k: int, n: int, d: int) -> list[tuple[int, ...]]:
         for t in itertools.combinations_with_replacement(range(d, -1, -1), n)
         if sum(t) == k * d and sum(c * c for c in t) == want_sq
     ]
+
+
+def entries_walk(k: int, x: Sequence[int]) -> tuple[list[tuple], TerminalKind]:
+    """The contraction walk on the n entries themselves, sorting all of them
+    at every step: the library's walk before it moved onto signatures, kept
+    here as the oracle for the signature walk.
+
+    x is a range-valid q = 2 vector of degree >= 1.  Returns the steps as
+    (before_sort, sorted, r, degree_after) tuples of entries, step 0's
+    before_sort being x as given, and how the walk ended.  Each step's
+    output is checked whole, not at its ends.
+    """
+    x = tuple(x)
+    d = sum(x) // k
+    steps = []
+    for _ in range(d + 1):  # the degree drops every step
+        s = tuple(sorted(x, reverse=True))
+        tail = s[k:]
+        r = sum(tail) - 2 * d
+        d += r
+        steps.append((x, s, r, d))
+        x = tuple(c + r for c in s[:k]) + tail
+        if max(x) <= 0:
+            if x != (-1,) * k + (0,) * len(tail):
+                raise RuntimeError(f"the walk reached {x}, not -beta")
+            return steps, TerminalKind.REACHED_MINUS_BETA
+        if min(x) < 0 or max(x) > d:
+            return steps, TerminalKind.RANGE_VIOLATION
+    raise RuntimeError("reduction failed to terminate")
 
 
 def bruteforce_positive_real_roots(

@@ -1,6 +1,8 @@
 """Classification, reduction traces, and the brute-force cross-check."""
 
 import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -9,6 +11,7 @@ from jkn import (
     ContractError,
     Kind,
     LatticeVector,
+    OrbitKind,
     ResourceLimitError,
     SystemParams,
     apply_s_beta,
@@ -23,9 +26,14 @@ from jkn import (
     q,
     reduce_trace,
 )
-from jkn.classify import TerminalKind, _walk
+from jkn.classify import TerminalKind, _entries, _signature, _walk
 
-from conftest import all_candidates, bruteforce_positive_real_roots, params_and_vector
+from conftest import (
+    all_candidates,
+    bruteforce_positive_real_roots,
+    entries_walk,
+    params_and_vector,
+)
 
 
 def test_real_positive_with_trace():
@@ -139,32 +147,37 @@ def test_reduce_trace_preconditions():
         reduce_trace(-root)
 
 
+def _signature_walk(k, x, known=None):
+    """The signature walk on x: (terminal, steps as (signature, r, degree_after))."""
+    sig, total, _ = _signature(x)
+    steps = [] if known is None else None
+    terminal = _walk(k, total // k, sig, steps, known)
+    return terminal, steps
+
+
 def test_sorted_candidate_agrees_with_classify():
     for k, n, d in [(3, 6, 2), (3, 7, 3), (4, 9, 2), (4, 10, 4)]:
         p = SystemParams(k, n)
         for t in all_candidates(k, n, d):
-            # the walk takes its input sorted; classify_entries takes t as is
+            # the walk takes t's signature; classify_entries takes t as is
             c = classify_entries(p, t)
-            x = tuple(sorted(t, reverse=True))
-            steps = []
-            terminal = _walk(k, x, steps)
-            assert _walk(k, x) is terminal
+            terminal, steps = _signature_walk(k, t)
+            assert _walk(k, d, _signature(t)[0]) is terminal
             assert terminal is c.trace.terminal
             assert (terminal is TerminalKind.REACHED_MINUS_BETA) == (
                 c.kind is Kind.REAL_POSITIVE
             )
-            assert [st[1:] for st in steps] == [
+            assert [(_entries(sig), r, d_after) for sig, r, d_after in steps] == [
                 (st.sorted.x, st.r, st.degree_after) for st in c.trace.steps
             ]
 
 
-
 def test_walk_refuses_a_nonpositive_end_other_than_minus_beta():
     """Under its preconditions the walk's only nonpositive end is -beta; an
-    input breaking them (here q = 4, entry 2 > degree 1) is an internal
-    error, never an almost-real verdict."""
+    input breaking them (here (2, 0): q = 4, entry 2 > degree 1) is an
+    internal error, never an almost-real verdict."""
     with pytest.raises(RuntimeError, match="not -beta"):
-        _walk(2, (2, 0))
+        _walk(2, 1, ((2, 1), (0, 1)))
     assert set(TerminalKind) == {
         TerminalKind.REACHED_MINUS_BETA,
         TerminalKind.RANGE_VIOLATION,
@@ -173,20 +186,18 @@ def test_walk_refuses_a_nonpositive_end_other_than_minus_beta():
 
 
 def _walk_with_memo(p, candidates):
-    """Walk the candidates, each sorted, in order with one shared memo, each
+    """Walk the candidates' signatures in order with one shared memo, each
     against a fresh walk and against `classify_entries` of the candidate as
     given; returns (steps from step 1 on, memo size)."""
     k = p.k
     known = {}
     later = 0
     for entries in candidates:
-        x = tuple(sorted(entries, reverse=True))
-        steps = []
-        terminal = _walk(k, x, steps)
-        assert _walk(k, x, known=known) is terminal
+        terminal, steps = _signature_walk(k, entries)
+        assert _signature_walk(k, entries, known)[0] is terminal
         assert classify_entries(p, entries).trace.terminal is terminal
-        for _, srt, _, _ in steps[1:]:
-            assert known.get(srt) is terminal
+        for sig, _, _ in steps[1:]:
+            assert known.get(sig) is terminal
         later += len(steps) - 1
     return later, len(known)
 
@@ -203,7 +214,7 @@ def test_walk_memo_agrees_with_fresh_walks():
         for candidates in (xs, shuffled):
             later, stored = _walk_with_memo(p, candidates)
             shared += later - stored
-    assert shared > 0  # some walks did stop at a vector the memo held
+    assert shared > 0  # some walks did stop at a signature the memo held
 
 
 def _word_root(rng, p, rounds):
@@ -246,6 +257,63 @@ def test_trace_steps_chain_from_the_input():
                 _assert_trace_chain(_word_root(rng, p, rng.randint(1, 12)))
     _assert_trace_chain(gamma(300, SystemParams(3, 602)))
     _assert_trace_chain(delta_family(300, SystemParams(301, 602)))
+
+
+def _assert_walk_matches_oracle(v):
+    """The traces of v and of its negation equal the entries walk's, field
+    for field: before_sort, sorted, r, degree_after, and the terminal."""
+    steps, terminal = entries_walk(v.params.k, v.x)
+    for c in (classify(v), classify_entries(v.params, tuple(-e for e in v.x))):
+        assert c.trace.terminal is terminal
+        assert [
+            (st.before_sort.x, st.sorted.x, st.r, st.degree_after)
+            for st in c.trace.steps
+        ] == steps
+    return terminal
+
+
+def test_walk_matches_the_entries_oracle():
+    rng = random.Random(2021)
+    systems = [(3, 10), (3, 11), (3, 12), (4, 10), (4, 12), (5, 10)]
+    walked = 0
+    for k, n in systems:
+        p = SystemParams(k, n)
+        for d in range(1, 8):
+            for oc in enumerate_orbits(p, d):
+                # the search's memo walk gave the kind; the oracle agrees
+                terminal = _assert_walk_matches_oracle(oc.representative)
+                assert (terminal is TerminalKind.REACHED_MINUS_BETA) == (
+                    oc.kind is OrbitKind.REAL
+                )
+                shuffled = rng.sample(oc.representative.x, n)
+                _assert_walk_matches_oracle(LatticeVector(p, shuffled))
+                walked += 1
+    assert walked == 204
+    for k, n in [(3, 9), (4, 14), (5, 17), (3, 2000)]:
+        p = SystemParams(k, n)
+        for _ in range(3):
+            _assert_walk_matches_oracle(_word_root(rng, p, rng.randint(1, 12)))
+    _assert_walk_matches_oracle(gamma(300, SystemParams(3, 602)))
+    _assert_walk_matches_oracle(delta_family(300, SystemParams(301, 602)))
+
+
+def test_deep_walk_in_linear_time_and_memory():
+    """gamma(10 000) in J(3, 20 002) walks 10 000 steps on signatures; with
+    its trace not read, classify_entries takes well under a second and
+    keeps no step's vectors."""
+    p = SystemParams(3, 20_002)
+    x = gamma(10_000, p).x
+    start = time.perf_counter()
+    c = classify_entries(p, x)
+    assert time.perf_counter() - start < 1.0
+    assert c.kind is Kind.REAL_POSITIVE
+    tracemalloc.start()
+    try:
+        assert classify_entries(p, x).kind is Kind.REAL_POSITIVE
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
 
 
 @given(params_and_vector())

@@ -21,6 +21,7 @@ from jkn import (
     degree,
     enumerate_orbits,
     fundamental_weights,
+    gamma,
     simple_root,
 )
 from jkn.cli import main
@@ -363,6 +364,24 @@ def test_generic_output_is_written_as_it_is_rendered(monkeypatch, fmt):
     lines = "".join(spy.writes).splitlines()
     # one line per orbit, and the csv header or the plain summary
     assert len(lines) == len(jkn.enumerate_generic(6)) + 1 == 58
+    assert max(map(len, spy.writes)) <= max(map(len, lines)) + 1
+
+
+def test_check_and_reduce_stream_the_plain_trace(monkeypatch):
+    """The plain trace goes out a step at a time, each step expanded as its
+    line is built: `ReductionTrace.steps`, which keeps every expanded step,
+    is never read, and no write holds more than one line."""
+    monkeypatch.setattr(jkn.cli.ReductionTrace, "steps", property(_refuse))
+    spy = _WriteSizes()
+    monkeypatch.setattr(sys, "stdout", spy)
+    x = ",".join(map(str, gamma(300, SystemParams(3, 602)).x))
+    assert main(["check", "3", "602", x]) == 0
+    assert main(["reduce", "3", "602", x]) == 0
+    lines = "".join(spy.writes).splitlines()
+    # each command: its first line, 300 steps, the terminal
+    assert len(lines) == 2 * 302
+    assert lines[301] == "  terminal: reached -beta"
+    assert lines[-1] == "terminal: reached -beta"
     assert max(map(len, spy.writes)) <= max(map(len, lines)) + 1
 
 

@@ -38,6 +38,8 @@ from jkn import (
 )
 from jkn.classify import _walk
 
+from conftest import entries_walk
+
 DEEP = (gamma(300, SystemParams(3, 602)), delta_family(300, SystemParams(301, 602)))
 
 
@@ -101,9 +103,9 @@ def _traces(v):
 
 
 def _public_steps(v):
-    """v's walk, each step built from the raw record with checked vectors."""
-    raw = []
-    _walk(v.params.k, sorted(v.x, reverse=True), raw)
+    """v's walk, each step of the entries walk of the tests built with
+    checked vectors."""
+    raw, _ = entries_walk(v.params.k, v.x)
     return [
         ReductionStep(
             before_sort=LatticeVector(v.params, before),
@@ -194,7 +196,7 @@ def test_walk_names_the_whole_nonpositive_end():
     """(2, 0) in J(2, 2) has degree 1 and q = 4: the walk's one step lands on
     (0, -2), which is not -beta, and the error shows that vector whole."""
     with pytest.raises(RuntimeError, match=r"nonpositive vector \(0, -2\), not -beta"):
-        _walk(2, (2, 0))
+        _walk(2, 1, ((2, 1), (0, 1)))
 
 
 def test_slot_built_records_stay_frozen():

@@ -88,6 +88,13 @@ _TERMINAL_JSON = {
     TerminalKind.Q_VIOLATION: "q",
 }
 
+# The kind of an input that passed the range and q checks, from how its walk
+# ended: a range break means conditions (1) and (2) held but the walk broke (1)
+_WALK_KIND = {
+    TerminalKind.REACHED_MINUS_BETA: Kind.REAL_POSITIVE,
+    TerminalKind.RANGE_VIOLATION: Kind.ALMOST_REAL_POSITIVE,
+}
+
 # The kind of a negative-degree input from the kind of its negation
 _MIRROR_KIND = {
     Kind.REAL_POSITIVE: Kind.REAL_NEGATIVE,
@@ -115,7 +122,7 @@ class ReductionStep:
 ReductionStep.__init__ = _slot_init(ReductionStep)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class ReductionTrace:
     """How the walk ended, and its steps, built when first read.
 
@@ -124,7 +131,9 @@ class ReductionTrace:
     records the first time it is read and keeps them; step 0's
     ``before_sort`` is the walk's input.  The kept signatures decide
     equality: two traces are equal exactly when their steps and terminals
-    are.
+    are.  The two zero-step traces, a range break before any step and a
+    q violation, hold no vector; :func:`classify` builds each once, at
+    import, and every result of those kinds shares it.
     """
 
     terminal: TerminalKind
@@ -176,6 +185,11 @@ class ReductionTrace:
         return f"ReductionTrace(steps={self.steps!r}, terminal={self.terminal!r})"
 
 
+ReductionTrace.__init__ = _slot_init(ReductionTrace)
+_RANGE_TRACE = ReductionTrace(TerminalKind.RANGE_VIOLATION)
+_Q_TRACE = ReductionTrace(TerminalKind.Q_VIOLATION)
+
+
 def _terminal_label(trace: ReductionTrace) -> str:
     """How the trace ended, as its JSON names it; a range break before any
     step is "range"."""
@@ -184,7 +198,7 @@ def _terminal_label(trace: ReductionTrace) -> str:
     return _TERMINAL_JSON[trace.terminal]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Classification:
     """Outcome of :func:`classify`.
 
@@ -198,6 +212,9 @@ class Classification:
     trace: Optional[ReductionTrace] = None
     q_value: Optional[int] = None
     degree: Optional[int] = None
+
+
+Classification.__init__ = _slot_init(Classification)
 
 
 def _entries(sig: tuple) -> tuple[int, ...]:
@@ -356,36 +373,27 @@ def _classified(
     d = total // k
     if d < 0:
         mirror = _classified(
-            -v, tuple((-c, m) for c, m in reversed(sig)), -total, squares
+            -v, tuple([(-c, m) for c, m in reversed(sig)]), -total, squares
         )
         flipped = _MIRROR_KIND.get(mirror.kind, mirror.kind)
-        return Classification(
-            flipped, trace=mirror.trace, q_value=mirror.q_value, degree=d
-        )
+        return Classification(flipped, mirror.trace, mirror.q_value, d)
     hi, lo = sig[0][0], sig[-1][0]
     if d == 0:
         if hi == lo == 0:
-            return Classification(Kind.ZERO, degree=0)
+            return Classification(Kind.ZERO, None, None, 0)
         # one 1, one -1, and any other entries 0
         if sig[0] == (1, 1) and sig[-1] == (-1, 1) and len(sig) <= 3:
-            return Classification(Kind.DEGREE_ZERO_REAL, degree=0)
-        return Classification(Kind.NOT_REAL_Q, q_value=squares, degree=0)
+            return Classification(Kind.DEGREE_ZERO_REAL, None, None, 0)
+        return Classification(Kind.NOT_REAL_Q, None, squares, 0)
     if lo < 0 or hi > d:
-        trace = ReductionTrace(TerminalKind.RANGE_VIOLATION)
-        return Classification(Kind.NOT_REAL_RANGE, trace=trace, degree=d)
+        return Classification(Kind.NOT_REAL_RANGE, _RANGE_TRACE, None, d)
     qv = squares + (2 - k) * d * d
     if qv != 2:
-        trace = ReductionTrace(TerminalKind.Q_VIOLATION)
-        return Classification(Kind.NOT_REAL_Q, trace=trace, q_value=qv, degree=d)
+        return Classification(Kind.NOT_REAL_Q, _Q_TRACE, qv, d)
     walked: list[tuple[tuple, int, int]] = []
     terminal = _walk(k, d, sig, walked)
-    if terminal is TerminalKind.REACHED_MINUS_BETA:
-        kind = Kind.REAL_POSITIVE
-    else:
-        # a range break: conditions (1) and (2) held but the walk broke (1)
-        kind = Kind.ALMOST_REAL_POSITIVE
     trace = ReductionTrace(terminal, v, tuple(walked))
-    return Classification(kind, trace=trace, degree=d)
+    return Classification(_WALK_KIND[terminal], trace, None, d)
 
 
 def classify_entries(params: SystemParams, entries: Sequence[int]) -> Classification:

@@ -82,6 +82,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D102 - argparse hook
         raise ContractError(message)
 
+    def convert_arg_line_to_args(self, arg_line: str) -> list[str]:  # noqa: D102
+        # an @file holds one vector per line; a blank line holds none
+        return [arg_line] if arg_line.strip() else []
+
 
 _KIND_MESSAGES = {
     Kind.REAL_POSITIVE: "real positive, degree {0.degree}",

@@ -23,7 +23,7 @@ integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from operator import index, neg
 from typing import Callable, Sequence
 
@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SystemParams:
     """Parameters (k, n) of a system J(k,n).
 
@@ -51,16 +51,23 @@ class SystemParams:
     A_{n-1} x A_1: beta is orthogonal to every alpha_i, so beta is its only
     positive root of nonzero degree.  Minimal-support stripping reduces beta
     itself to the core (1) of J(1,1).
+
+    k and n are admitted as a vector's entries are, through
+    ``operator.index``: ints, bools (stored as ints) and numpy integers
+    pass, floats and strings do not.
     """
 
     k: int
     n: int
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.k, int) and isinstance(self.n, int)):
-            raise ContractError("k and n must be integers")
-        if not 1 <= self.k <= self.n:
-            raise ContractError(f"require 1 <= k <= n, got k={self.k}, n={self.n}")
+    def __init__(self, k: int, n: int) -> None:
+        try:
+            k, n = index(k), index(n)
+        except TypeError:
+            raise ContractError("k and n must be integers") from None
+        if not 1 <= k <= n:
+            raise ContractError(f"require 1 <= k <= n, got k={k}, n={n}")
+        _store_params(self, k, n)
 
     def __str__(self) -> str:
         return f"J({self.k},{self.n})"
@@ -114,21 +121,41 @@ class LatticeVector:
 
 
 def _slot_init(cls: type) -> Callable[..., None]:
-    """An ``__init__`` for the frozen slots dataclass ``cls`` that takes its
-    fields in ``__match_args__`` order and stores each straight through its
-    slot's member descriptor, with no checks.  The frozen class's
-    ``__setattr__`` refuses the store, and ``object.__setattr__`` costs about
-    twice as much.  Like the ``__init__`` `dataclasses` writes, it is compiled
-    from a few lines of source whose only inputs are the field names."""
-    names = cls.__match_args__
-    stores = "".join(f"\n    _set_{name}(self, {name})" for name in names)
-    namespace = {f"_set_{name}": cls.__dict__[name].__set__ for name in names}
-    exec(f"def __init__(self, {', '.join(names)}):{stores}", namespace)
+    """An ``__init__`` for the frozen slots dataclass ``cls`` that stores each
+    field straight through its slot's member descriptor, with no checks.  The
+    frozen class's ``__setattr__`` refuses the store, and
+    ``object.__setattr__`` costs about twice as much.  It takes the ``init``
+    fields of ``dataclasses.fields(cls)`` in order, with their defaults, and
+    stores the default of each ``init=False`` field that has one.  Like the
+    ``__init__`` `dataclasses` writes, it is compiled from a few lines of
+    source whose only inputs are the field names; the defaults are bound as
+    objects, not written into the source."""
+    names, defaults, stores, namespace = [], [], [], {}
+    for f in fields(cls):
+        if f.init:
+            names.append(f.name)
+            value = f.name
+            if f.default is not MISSING:
+                defaults.append(f.default)
+        elif f.default is not MISSING:
+            value = f"_default_{f.name}"
+            namespace[value] = f.default
+        else:
+            continue
+        namespace[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
+        stores.append(f"\n    _set_{f.name}(self, {value})")
+    exec(f"def __init__(self, {', '.join(names)}):{''.join(stores)}", namespace)
     init = namespace["__init__"]
+    init.__defaults__ = tuple(defaults) or None
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     init.__module__ = cls.__module__
     init.__annotations__ = {name: cls.__annotations__[name] for name in names}
+    init.__annotations__["return"] = None
     return init
+
+
+# the store behind SystemParams' checks
+_store_params = _slot_init(SystemParams)
 
 
 def _trusted(

@@ -95,6 +95,16 @@ def test_check_batch_from_file(capsys, tmp_path):
     assert out.count("real") >= 2
 
 
+def test_check_batch_file_skips_blank_lines(capsys, tmp_path):
+    vectors = ["-1,-1,-1,0,0,0,0,0", "2,1,1,1,1,1,1,1", "1,1,1,1,1,1,0,0"]
+    plain, blank = tmp_path / "plain.txt", tmp_path / "blank.txt"
+    plain.write_text("\n".join(vectors) + "\n")
+    blank.write_text(f"{vectors[0]}\n\n{vectors[1]}\n  \t\n{vectors[2]}\n\n")
+    expected = run(capsys, "check", "3", "8", f"@{plain}")
+    assert expected[0] == 0 and expected[1].count("real") == 3
+    assert run(capsys, "check", "3", "8", f"@{blank}") == expected
+
+
 def test_check_vector_with_leading_minus(capsys):
     code, out = run(capsys, "check", "3", "8", "-1,-1,-1,0,0,0,0,0")
     assert code == 0

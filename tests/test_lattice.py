@@ -37,6 +37,30 @@ def test_system_params_validation():
     assert str(SystemParams(3, 8)) == "J(3,8)"
 
 
+class _Index:
+    """An integer type of another library: only ``__index__``, as numpy's
+    integers have."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_system_params_admit_what_vectors_admit():
+    for p in (SystemParams(True, 3), SystemParams(_Index(1), _Index(3))):
+        assert type(p.k) is int and type(p.n) is int
+        assert p == SystemParams(1, 3) and hash(p) == hash(SystemParams(1, 3))
+        assert str(p) == "J(1,3)"
+    for bad in (3.0, "3", Fraction(3), None):
+        for args in ((bad, 8), (3, bad)):
+            with pytest.raises(ContractError, match="^k and n must be integers$"):
+                SystemParams(*args)
+    with pytest.raises(ContractError, match="got k=2, n=1"):
+        SystemParams(_Index(2), True)
+
+
 def test_membership_checks():
     p = SystemParams(3, 8)
     with pytest.raises(NotInLatticeError):

@@ -5,12 +5,16 @@ the entries `classify_entries` has checked are built with `lattice._trusted`.
 Each is rebuilt here through the public constructor, which must accept it
 and give back an equal vector of ints, and `_trusted` must keep working when
 the name `LatticeVector` is rebound to a wrapper function, as the benchmark's
-tracer does.  The walk's `ReductionStep` records, and the `OrbitClass` and
-`GenericOrbit` records of the orbit search, each have one constructor: the
+tracer does.  The walk's `ReductionStep` records, the `ReductionTrace` and
+`Classification` that `classify` returns, and the `OrbitClass` and
+`GenericOrbit` records of the orbit search each have one constructor: the
 `__init__` that `lattice._slot_init` generates, storing the fields slot by
-slot.  Each record the library returns must equal the one built from freshly
-checked vectors, and each class's `__init__` must keep to its dataclass
-fields and read like a method written in the class.
+slot and the defaults of the fields left out.  Each record the library
+returns must equal the one built from freshly checked vectors, and each
+class's `__init__` must keep to its dataclass fields and their defaults and
+read like a method written in the class.  The two zero-step traces, of a
+range break before any step and of a q violation, are shared by every
+result of their kind and must behave as records of their own.
 """
 
 import copy
@@ -22,10 +26,12 @@ import pickle
 import pytest
 
 from jkn import (
+    Classification,
     GenericOrbit,
     LatticeVector,
     OrbitClass,
     ReductionStep,
+    ReductionTrace,
     SystemParams,
     classify,
     classify_entries,
@@ -200,12 +206,11 @@ def test_walk_names_the_whole_nonpositive_end():
 
 
 def test_slot_built_records_stay_frozen():
-    step = reduce_trace(DEEP[0]).steps[1]
-    oc = enumerate_orbits(SystemParams(3, 9), 3)[0]
-    g = enumerate_generic(4)[0]
-    records = [(step, field.name) for field in dataclasses.fields(ReductionStep)]
-    records += [(oc, field.name) for field in dataclasses.fields(OrbitClass)]
-    records += [(g, field.name) for field in dataclasses.fields(GenericOrbit)]
+    records = []
+    for cls, build in RECORDS.items():
+        record = build()
+        records += [(record, field.name) for field in dataclasses.fields(cls)]
+    step = RECORDS[ReductionStep]()
     records += [(step.sorted, "x"), (step.before_sort, "params"), (-DEEP[1], "x")]
     for record, name in records:
         before = getattr(record, name)
@@ -218,18 +223,30 @@ def test_slot_built_records_stay_frozen():
 
 RECORDS = {
     ReductionStep: lambda: reduce_trace(DEEP[0]).steps[1],
+    ReductionTrace: lambda: reduce_trace(DEEP[0]),
+    Classification: lambda: classify(-DEEP[0]),
     OrbitClass: lambda: enumerate_orbits(SystemParams(3, 9), 3)[0],
     GenericOrbit: lambda: enumerate_generic(4)[0],
 }
 
 
+def _default(field):
+    return inspect.Parameter.empty if field.default is dataclasses.MISSING else field.default
+
+
 @pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
 def test_record_init_keeps_to_its_fields(cls):
-    """The generated __init__ takes the dataclass fields, in order, stores
-    each argument in its own slot, and is named as a method of the class."""
+    """The generated __init__ takes the dataclass fields, in order, with
+    their defaults, stores each argument in its own slot and the default of
+    each field it does not take, and is named as a method of the class."""
     record = RECORDS[cls]()
-    names = tuple(field.name for field in dataclasses.fields(cls))
-    assert tuple(inspect.signature(cls).parameters) == names
+    init_fields = [field for field in dataclasses.fields(cls) if field.init]
+    names = tuple(field.name for field in init_fields)
+    parameters = inspect.signature(cls).parameters
+    assert tuple(parameters) == names
+    assert [parameters[field.name].default for field in init_fields] == [
+        _default(field) for field in init_fields
+    ]
     assert cls.__match_args__ == names
     assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
     assert cls.__init__.__module__ == cls.__module__
@@ -243,7 +260,42 @@ def test_record_init_keeps_to_its_fields(cls):
         ]
     assert pickle.loads(pickle.dumps(record)) == record
     assert copy.deepcopy(record) == record
+    required = [field for field in init_fields if _default(field) is inspect.Parameter.empty]
+    bare = cls(*values[: len(required)])
+    assert [getattr(bare, field.name) for field in dataclasses.fields(cls)] == [
+        getattr(record, field.name) if field in required else field.default
+        for field in dataclasses.fields(cls)
+    ]
     with pytest.raises(TypeError):
-        cls(*values[:-1])
+        cls(*values[: len(required) - 1])
+    with pytest.raises(TypeError):
+        cls(*values, values[0])
     with pytest.raises(TypeError):
         cls(*values, no_such_field=values[0])
+
+
+@pytest.mark.parametrize(
+    "entries, label",
+    [((3, 0, 0, 0, 0, 0, 0, 0), "range"), ((2, 2, 2, 0, 0, 0, 0, 0), "q")],
+)
+def test_zero_step_traces_are_shared_records(entries, label):
+    """A window or q violation of degree >= 1 carries the zero-step trace of
+    its kind, one per kind for every such result, and the result still
+    copies, pickles and replaces as a record of its own."""
+    p = SystemParams(3, 8)
+    first = classify_entries(p, entries)
+    second = classify(LatticeVector(p, tuple(-e for e in entries)))
+    assert first.degree == -second.degree > 0
+    assert first.trace == second.trace and first.trace is second.trace
+    assert first.trace.steps == () and first.trace.as_json_dict() == {
+        "steps": [],
+        "terminal": label,
+    }
+    for other in (
+        dataclasses.replace(first),
+        dataclasses.replace(first, trace=dataclasses.replace(first.trace)),
+        pickle.loads(pickle.dumps(first)),
+        copy.deepcopy(first),
+    ):
+        assert other == first and hash(other) == hash(first)
+        assert repr(other) == repr(first)

@@ -9,6 +9,9 @@ A lattice element x of degree d >= 1 is a positive real root exactly when
 
 Elements satisfying (1) and (2) whose reduction breaks (1) instead of
 reaching -beta are the almost real roots; they occur only in degrees >= 4.
+An input of degree >= 1 ends in one of four ways, at -beta, by breaking
+(1) after a step, or refused by (1) or (2) before any step, and each end
+is named once, in one row of a table that the kinds and traces read.
 Degree-0 real roots are exactly the differences e_i - e_j and are handled
 structurally.  The classifier covers every input: zero, negative degrees
 (by sign mirror), non-lattice tuples (via :func:`classify_entries`), and
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
@@ -70,37 +74,33 @@ class Kind(str, enum.Enum):
 
 
 class TerminalKind(str, enum.Enum):
-    """How a reduction trace ended.
-
-    The iteration itself terminates by reaching -beta or by breaking the
-    range condition.  Q_VIOLATION marks the zero-step trace attached when a
-    degree >= 1 input fails q = 2 before the iteration starts.
-    """
+    """How a reduction trace ended: at -beta, or by breaking the range
+    condition, after a step or before any; Q_VIOLATION marks the zero-step
+    trace of a degree >= 1 input that fails q = 2.  `_ENDS` names each end."""
 
     REACHED_MINUS_BETA = "REACHED_MINUS_BETA"
     RANGE_VIOLATION = "RANGE_VIOLATION"
     Q_VIOLATION = "Q_VIOLATION"
 
 
-_TERMINAL_JSON = {
-    TerminalKind.REACHED_MINUS_BETA: "real",
-    TerminalKind.RANGE_VIOLATION: "almost",
-    TerminalKind.Q_VIOLATION: "q",
-}
-
-# The kind of an input that passed the range and q checks, from how its walk
-# ended: a range break means conditions (1) and (2) held but the walk broke (1)
-_WALK_KIND = {
-    TerminalKind.REACHED_MINUS_BETA: Kind.REAL_POSITIVE,
-    TerminalKind.RANGE_VIOLATION: Kind.ALMOST_REAL_POSITIVE,
-}
-
-# The kind of a negative-degree input from the kind of its negation
-_MIRROR_KIND = {
-    Kind.REAL_POSITIVE: Kind.REAL_NEGATIVE,
-    Kind.REAL_NEGATIVE: Kind.REAL_POSITIVE,
-    Kind.ALMOST_REAL_POSITIVE: Kind.ALMOST_REAL_NEGATIVE,
-    Kind.ALMOST_REAL_NEGATIVE: Kind.ALMOST_REAL_POSITIVE,
+# Each end of a degree >= 1 input, keyed by (terminal, whether the walk took
+# a step): its kind, its negation's, and its json and plain terminal names
+_End = namedtuple("_End", "kind mirror label line")
+_ENDS = {
+    (TerminalKind.REACHED_MINUS_BETA, True): _End(
+        Kind.REAL_POSITIVE, Kind.REAL_NEGATIVE, "real", "reached -beta"
+    ),
+    (TerminalKind.RANGE_VIOLATION, True): _End(
+        Kind.ALMOST_REAL_POSITIVE, Kind.ALMOST_REAL_NEGATIVE,
+        "almost", "range violation",
+    ),
+    (TerminalKind.RANGE_VIOLATION, False): _End(
+        Kind.NOT_REAL_RANGE, Kind.NOT_REAL_RANGE,
+        "range", "range violation before any step",
+    ),
+    (TerminalKind.Q_VIOLATION, False): _End(
+        Kind.NOT_REAL_Q, Kind.NOT_REAL_Q, "q", "q violation"
+    ),
 }
 
 
@@ -131,9 +131,9 @@ class ReductionTrace:
     records the first time it is read and keeps them; step 0's
     ``before_sort`` is the walk's input.  The kept signatures decide
     equality: two traces are equal exactly when their steps and terminals
-    are.  The two zero-step traces, a range break before any step and a
-    q violation, hold no vector; :func:`classify` builds each once, at
-    import, and every result of those kinds shares it.
+    are.  The two zero-step traces, a range break before any step and
+    q != 2, hold no vector; :func:`classify` builds each once, at import,
+    and every result of those kinds shares it.
     """
 
     terminal: TerminalKind
@@ -172,14 +172,26 @@ class ReductionTrace:
             yield ReductionStep(before, _trusted(params, srt), r, d_after)
             prev, shift = srt, r
 
+    @property
+    def _end(self) -> _End:
+        return _ENDS[self.terminal, bool(self._walked)]
+
     def as_json_dict(self) -> dict:
         return {
             "steps": [
                 {"sorted": list(srt), "r": r, "degree": d_after}
                 for srt, r, d_after in self._rows()
             ],
-            "terminal": _terminal_label(self),
+            "terminal": self._end.label,
         }
+
+    def plain_lines(self, indent: str = "") -> Iterator[str]:
+        """A line per step, then the ``terminal:`` line, each after
+        ``indent``; each step is expanded as its line is built, not kept."""
+        for i, (srt, r, d_after) in enumerate(self._rows(), start=1):
+            entries = ",".join(map(str, srt))
+            yield f"{indent}step {i}: sorted=({entries}) r={r} degree_after={d_after}"
+        yield f"{indent}terminal: {self._end.line}"
 
     def __repr__(self) -> str:
         return f"ReductionTrace(steps={self.steps!r}, terminal={self.terminal!r})"
@@ -188,14 +200,6 @@ class ReductionTrace:
 ReductionTrace.__init__ = _slot_init(ReductionTrace)
 _RANGE_TRACE = ReductionTrace(TerminalKind.RANGE_VIOLATION)
 _Q_TRACE = ReductionTrace(TerminalKind.Q_VIOLATION)
-
-
-def _terminal_label(trace: ReductionTrace) -> str:
-    """How the trace ended, as its JSON names it; a range break before any
-    step is "range"."""
-    if trace.terminal is TerminalKind.RANGE_VIOLATION and not trace._walked:
-        return "range"
-    return _TERMINAL_JSON[trace.terminal]
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -375,8 +379,9 @@ def _classified(
         mirror = _classified(
             -v, tuple([(-c, m) for c, m in reversed(sig)]), -total, squares
         )
-        flipped = _MIRROR_KIND.get(mirror.kind, mirror.kind)
-        return Classification(flipped, mirror.trace, mirror.q_value, d)
+        # -v has degree >= 1, so a trace, and v's kind is its end's mirror
+        trace = mirror.trace
+        return Classification(trace._end.mirror, trace, mirror.q_value, d)
     hi, lo = sig[0][0], sig[-1][0]
     if d == 0:
         if hi == lo == 0:
@@ -393,7 +398,7 @@ def _classified(
     walked: list[tuple[tuple, int, int]] = []
     terminal = _walk(k, d, sig, walked)
     trace = ReductionTrace(terminal, v, tuple(walked))
-    return Classification(_WALK_KIND[terminal], trace, None, d)
+    return Classification(_ENDS[terminal, True].kind, trace, None, d)
 
 
 def classify_entries(params: SystemParams, entries: Sequence[int]) -> Classification:

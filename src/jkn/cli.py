@@ -33,8 +33,6 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .classify import (
     Classification,
     Kind,
-    ReductionTrace,
-    _terminal_label,
     classify_entries,
     reduce_trace,
 )
@@ -99,14 +97,6 @@ _KIND_MESSAGES = {
     Kind.ZERO: "zero vector",
 }
 
-_TERMINAL_MESSAGES = {
-    "real": "reached -beta",
-    "almost": "range violation",
-    "range": "range violation before any step",
-    "q": "q violation",
-}
-
-
 def _vec_str(entries: Sequence[int]) -> str:
     return "(" + ",".join(str(c) for c in entries) + ")"
 
@@ -128,14 +118,6 @@ def _exit_code(c: Classification) -> int:
 
 def _spaced(entries: Sequence[int]) -> str:
     return " ".join(str(c) for c in entries)
-
-
-def _trace_lines(trace: ReductionTrace, indent: str) -> Iterator[str]:
-    """The trace's plain lines, each step's built as that step is expanded,
-    so no more than one expanded step is held at a time."""
-    for i, (srt, r, d_after) in enumerate(trace._rows(), start=1):
-        yield f"{indent}step {i}: sorted={_vec_str(srt)} r={r} degree_after={d_after}"
-    yield f"{indent}terminal: {_TERMINAL_MESSAGES[_terminal_label(trace)]}"
 
 
 def _render(
@@ -192,7 +174,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 yield f"# {_vec_str(entries)}"
             yield _KIND_MESSAGES[c.kind].format(c)
             if c.trace is not None:
-                yield from _trace_lines(c.trace, "  ")
+                yield from c.trace.plain_lines("  ")
 
     _render(args, obj, plain)
     return worst
@@ -204,7 +186,7 @@ def _cmd_reduce(args: argparse.Namespace) -> None:
 
     def plain() -> Iterator[str]:
         yield f"input {_vec_str(v.x)} degree {degree(v)}"
-        yield from _trace_lines(trace, "")
+        yield from trace.plain_lines()
 
     _render(args, trace.as_json_dict, plain)
 

@@ -17,6 +17,7 @@ Words are plain sequences of generators applied eagerly, first letter first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Union
 
 from .errors import ContractError
@@ -41,16 +42,22 @@ Letter = Union[int, str]
 
 @dataclass(frozen=True, slots=True)
 class WeylWord:
-    """A finite sequence of generators, each S(i) as an int or ``S_BETA``."""
+    """A finite sequence of generators, each S(i) as an int or ``S_BETA``;
+    the constructor stores each index as an int."""
 
     letters: tuple[Letter, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.letters, tuple):
-            object.__setattr__(self, "letters", tuple(self.letters))
+        letters = []
         for ell in self.letters:
-            if ell != S_BETA and (not isinstance(ell, int) or ell < 1):
+            try:  # an index is admitted as a vector entry is
+                i = S_BETA if ell == S_BETA else index(ell)
+            except TypeError:
+                i = 0
+            if i != S_BETA and i < 1:
                 raise ContractError(f"bad word letter {ell!r}")
+            letters.append(i)
+        object.__setattr__(self, "letters", tuple(letters))
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -31,6 +31,17 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
+class Index:
+    """An integer type of another library: only ``__index__``, as numpy's
+    integers have."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
 @st.composite
 def params_strategy(draw, min_k=1, max_k=5, max_n=9):
     k = draw(st.integers(min_k, max_k))

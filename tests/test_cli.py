@@ -72,6 +72,51 @@ def test_check_almost(capsys):
     assert "almost real" in out
 
 
+# The four ends of a degree >= 1 input: "k n x", the kinds of x and of -x,
+# the json terminal label, the plain terminal line, and the exit code of
+# both x and -x
+FOUR_ENDS = [
+    (
+        "3 8 2,1,1,1,1,1,1,1",
+        ("RealPositive", "RealNegative"),
+        "real",
+        "reached -beta",
+        0,
+    ),
+    (
+        "4 10 3,3,3,1,1,1,1,1,1,1",
+        ("AlmostRealPositive", "AlmostRealNegative"),
+        "almost",
+        "range violation",
+        1,
+    ),
+    (
+        "3 8 3,0,0,0,0,0,0,0",
+        ("NotRealRangeViolation", "NotRealRangeViolation"),
+        "range",
+        "range violation before any step",
+        2,
+    ),
+    ("3 8 2,2,2,0,0,0,0,0", ("NotRealQ", "NotRealQ"), "q", "q violation", 2),
+]
+
+
+@pytest.mark.parametrize("negated", [False, True])
+@pytest.mark.parametrize("case", FOUR_ENDS, ids=[c[2] for c in FOUR_ENDS])
+def test_check_names_each_end(capsys, case, negated):
+    knx, kinds, label, line, code = case
+    k, n, x = knx.split()
+    if negated:
+        x = ",".join(str(-int(c)) for c in x.split(","))
+    kind = kinds[negated]
+    assert main(["check", k, n, x, "--format", "json"]) == code
+    blob = json.loads(capsys.readouterr().out)
+    assert (blob["kind"], blob["trace"]["terminal"]) == (kind, label)
+    code_plain, out = run(capsys, "check", k, n, x)
+    assert code_plain == code
+    assert out.splitlines()[-1] == f"  terminal: {line}"
+
+
 def test_check_not_in_lattice(capsys):
     code, out = run(capsys, "check", "3", "8", "1,1,1,1,1,1,1,1")
     assert code == 2
@@ -290,7 +335,7 @@ def _refuse(*args, **kwargs):
 
 
 def test_check_and_reduce_json_build_no_plain_lines(capsys, monkeypatch):
-    monkeypatch.setattr(jkn.cli, "_trace_lines", _refuse)
+    monkeypatch.setattr(jkn.ReductionTrace, "plain_lines", _refuse)
     vectors = ("2,1,1,1,1,1,1,1", "3,3,3,0,0,0,0,0")
     assert main(["check", "3", "8", *vectors, "--format", "json"]) == 2
     assert [c["kind"] for c in json.loads(capsys.readouterr().out)] == [
@@ -302,7 +347,7 @@ def test_check_and_reduce_json_build_no_plain_lines(capsys, monkeypatch):
 
 
 def test_check_and_reduce_plain_build_no_json(capsys, monkeypatch):
-    monkeypatch.setattr(jkn.cli.ReductionTrace, "as_json_dict", _refuse)
+    monkeypatch.setattr(jkn.ReductionTrace, "as_json_dict", _refuse)
     code, out = run(capsys, "check", "4", "10", "3,3,3,1,1,1,1,1,1,1")
     assert code == 1
     assert out.splitlines()[-1] == "  terminal: range violation"
@@ -381,7 +426,7 @@ def test_check_and_reduce_stream_the_plain_trace(monkeypatch):
     """The plain trace goes out a step at a time, each step expanded as its
     line is built: `ReductionTrace.steps`, which keeps every expanded step,
     is never read, and no write holds more than one line."""
-    monkeypatch.setattr(jkn.cli.ReductionTrace, "steps", property(_refuse))
+    monkeypatch.setattr(jkn.ReductionTrace, "steps", property(_refuse))
     spy = _WriteSizes()
     monkeypatch.setattr(sys, "stdout", spy)
     x = ",".join(map(str, gamma(300, SystemParams(3, 602)).x))

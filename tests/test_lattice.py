@@ -21,6 +21,7 @@ from jkn import (
 )
 
 from conftest import (
+    Index,
     basis_matrix,
     cartan_matrix,
     gram_e_matrix,
@@ -37,19 +38,8 @@ def test_system_params_validation():
     assert str(SystemParams(3, 8)) == "J(3,8)"
 
 
-class _Index:
-    """An integer type of another library: only ``__index__``, as numpy's
-    integers have."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __index__(self):
-        return self.value
-
-
 def test_system_params_admit_what_vectors_admit():
-    for p in (SystemParams(True, 3), SystemParams(_Index(1), _Index(3))):
+    for p in (SystemParams(True, 3), SystemParams(Index(1), Index(3))):
         assert type(p.k) is int and type(p.n) is int
         assert p == SystemParams(1, 3) and hash(p) == hash(SystemParams(1, 3))
         assert str(p) == "J(1,3)"
@@ -58,7 +48,7 @@ def test_system_params_admit_what_vectors_admit():
             with pytest.raises(ContractError, match="^k and n must be integers$"):
                 SystemParams(*args)
     with pytest.raises(ContractError, match="got k=2, n=1"):
-        SystemParams(_Index(2), True)
+        SystemParams(Index(2), True)
 
 
 def test_membership_checks():

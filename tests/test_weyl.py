@@ -18,7 +18,7 @@ from jkn import (
     q,
 )
 
-from conftest import params_and_vector
+from conftest import Index, params_and_vector
 
 
 @st.composite
@@ -67,6 +67,21 @@ def test_word_round_trip():
     for token in ("0", "-2"):
         with pytest.raises(ContractError, match=f"bad word letter {token}$"):
             parse_word(f"b,{token}")
+
+
+def test_word_letters_are_admitted_as_vector_entries_are():
+    # through operator.index, stored as ints, so the text round-trips
+    w = WeylWord((Index(3), "b", True))
+    assert w.letters == (3, "b", 1)
+    assert all(type(ell) is int for ell in w.letters if ell != "b")
+    assert format_word(w) == "3,b,1"
+    assert parse_word(format_word(w)) == w
+    p = SystemParams(3, 6)
+    v = beta_vector(p)
+    assert apply_word(w, v) == apply_word(parse_word("3,b,1"), v)
+    for bad in (Index(0), False, 1.0, "3", "c", None):
+        with pytest.raises(ContractError, match="bad word letter"):
+            WeylWord((bad,))
 
 
 def test_word_applies_first_letter_first():

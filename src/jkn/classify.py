@@ -102,6 +102,8 @@ _ENDS = {
         Kind.NOT_REAL_Q, Kind.NOT_REAL_Q, "q", "q violation"
     ),
 }
+_RANGE_END = _ENDS[TerminalKind.RANGE_VIOLATION, False]
+_Q_END = _ENDS[TerminalKind.Q_VIOLATION, False]
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -133,7 +135,8 @@ class ReductionTrace:
     equality: two traces are equal exactly when their steps and terminals
     are.  The two zero-step traces, a range break before any step and
     q != 2, hold no vector; :func:`classify` builds each once, at import,
-    and every result of those kinds shares it.
+    and every result of those kinds shares it.  Only these two and walked
+    traces render; any other terminal and step count raise ContractError.
     """
 
     terminal: TerminalKind
@@ -174,7 +177,11 @@ class ReductionTrace:
 
     @property
     def _end(self) -> _End:
-        return _ENDS[self.terminal, bool(self._walked)]
+        try:
+            return _ENDS[self.terminal, bool(self._walked)]
+        except KeyError:
+            t, n = self.terminal.value, len(self._walked)
+            raise ContractError(f"no end is {t} after {n} steps") from None
 
     def as_json_dict(self) -> dict:
         return {
@@ -354,11 +361,11 @@ def reduce_trace(v: LatticeVector) -> ReductionTrace:
     if d < 1:
         raise ContractError(f"reduce_trace requires degree >= 1, got degree {d}")
     c = _classified(v, sig, total, squares)
-    if c.kind is Kind.NOT_REAL_RANGE:
+    if c.kind is _RANGE_END.kind:
         raise ContractError(
             f"reduce_trace requires all entries in [0, {d}] (the degree)"
         )
-    if c.kind is Kind.NOT_REAL_Q:
+    if c.kind is _Q_END.kind:
         raise ContractError(f"reduce_trace requires q = 2, got q = {c.q_value}")
     return c.trace
 
@@ -391,10 +398,10 @@ def _classified(
             return Classification(Kind.DEGREE_ZERO_REAL, None, None, 0)
         return Classification(Kind.NOT_REAL_Q, None, squares, 0)
     if lo < 0 or hi > d:
-        return Classification(Kind.NOT_REAL_RANGE, _RANGE_TRACE, None, d)
+        return Classification(_RANGE_END.kind, _RANGE_TRACE, None, d)
     qv = squares + (2 - k) * d * d
     if qv != 2:
-        return Classification(Kind.NOT_REAL_Q, _Q_TRACE, qv, d)
+        return Classification(_Q_END.kind, _Q_TRACE, qv, d)
     walked: list[tuple[tuple, int, int]] = []
     terminal = _walk(k, d, sig, walked)
     trace = ReductionTrace(terminal, v, tuple(walked))

@@ -30,12 +30,7 @@ import signal
 import sys
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .classify import (
-    Classification,
-    Kind,
-    classify_entries,
-    reduce_trace,
-)
+from .classify import Classification, Kind, classify_entries, reduce_trace
 from .cluster import canonical_profile, cyclic_permutations
 from .enumeration import (
     GenericOrbit,
@@ -96,6 +91,7 @@ _KIND_MESSAGES = {
     Kind.NOT_IN_LATTICE: "not in root lattice",
     Kind.ZERO: "zero vector",
 }
+
 
 def _vec_str(entries: Sequence[int]) -> str:
     return "(" + ",".join(str(c) for c in entries) + ")"

@@ -193,23 +193,19 @@ def enumerate_orbits(params: SystemParams, degree: int) -> tuple[OrbitClass, ...
 
     One search over the multiplicities (m_d, ..., m_0), at most
     min(d, n) + 1 calls deep, gives each multiset signature, and from it the
-    representative and its orbit size n! / prod(m_v!), with neither n! nor
-    m_0! formed.
+    representative and its orbit size n! / prod(m_v!), with n! taken once.
     Sorted lexicographically descending by representative.  The walks share
     a memo that lives for this call only; nothing is cached across calls: a
     caller that needs the result twice keeps it.
     """
     if degree < 1:
         raise ContractError(f"enumerate_orbits requires degree >= 1, got {degree}")
-    n = params.n
+    n_factorial = math.factorial(params.n)
     classes = []
     add = classes.append
 
     def record(sig: tuple, x: tuple, kind: OrbitKind) -> None:
-        # n!/m_0! = perm(n, n - m_0); the zeros, if any, are sig's last pair
-        zeros = sig[-1][1] if sig[-1][0] == 0 else 0
-        top = map(itemgetter(1), sig[:-1] if zeros else sig)
-        size = math.perm(n, n - zeros) // math.prod(map(math.factorial, top))
+        size = n_factorial // math.prod(map(math.factorial, map(itemgetter(1), sig)))
         # the search keeps only signatures whose n entries are ints summing to k*d
         add(OrbitClass(_trusted(params, x), degree, kind, size, sig))
 

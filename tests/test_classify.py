@@ -26,7 +26,7 @@ from jkn import (
     q,
     reduce_trace,
 )
-from jkn.classify import TerminalKind, _entries, _signature, _walk
+from jkn.classify import ReductionTrace, TerminalKind, _entries, _signature, _walk
 
 from conftest import (
     all_candidates,
@@ -96,6 +96,21 @@ def test_q_violation_positive_degree():
     assert c.q_value == 8
     assert c.trace.steps == ()
     assert c.trace.as_json_dict()["terminal"] == "q"
+
+
+def test_trace_matching_no_end_is_refused():
+    """Built by hand, a trace whose terminal and step count name no end
+    renders neither way; classify never builds one."""
+    real = classify_entries(SystemParams(3, 8), (2, 1, 1, 1, 1, 1, 1, 1)).trace
+    unwalked = ReductionTrace(TerminalKind.REACHED_MINUS_BETA)
+    walked = ReductionTrace(TerminalKind.Q_VIOLATION, real._input, real._walked)
+    for trace, message in (
+        (unwalked, "REACHED_MINUS_BETA after 0 steps"),
+        (walked, "Q_VIOLATION after 3 steps"),
+    ):
+        for render in (trace.as_json_dict, lambda: list(trace.plain_lines())):
+            with pytest.raises(ContractError, match=f"^no end is {message}$"):
+                render()
 
 
 def test_entries_must_be_integers():

@@ -69,19 +69,6 @@ def test_orbit_size_is_multinomial():
     )
 
 
-def test_orbit_size_at_large_n_forms_no_n_factorial():
-    n = 200_000
-    start = time.perf_counter()
-    (oc,) = enumerate_orbits(SystemParams(3, n), 3)
-    assert time.perf_counter() - start < 0.5
-    # the multinomial as a product of binomials, one per multiplicity
-    size, left = 1, n
-    for _, m in oc.multiset_signature:
-        size *= math.comb(left, m)
-        left -= m
-    assert left == 0 and oc.orbit_size == size
-
-
 def test_count_degree_zero():
     assert count_real_roots(SystemParams(3, 9), 0) == 36
     assert count_real_roots(SystemParams(2, 4), 0) == 6

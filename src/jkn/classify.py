@@ -66,11 +66,11 @@ class Kind(str, enum.Enum):
 
     @property
     def is_real(self) -> bool:
-        return self in (Kind.REAL_POSITIVE, Kind.REAL_NEGATIVE, Kind.DEGREE_ZERO_REAL)
+        return self in _REAL_KINDS
 
     @property
     def is_almost_real(self) -> bool:
-        return self in (Kind.ALMOST_REAL_POSITIVE, Kind.ALMOST_REAL_NEGATIVE)
+        return self in _ALMOST_REAL_KINDS
 
 
 class TerminalKind(str, enum.Enum):
@@ -82,6 +82,14 @@ class TerminalKind(str, enum.Enum):
     RANGE_VIOLATION = "RANGE_VIOLATION"
     Q_VIOLATION = "Q_VIOLATION"
 
+
+# Members bound once: a read through an enum class costs a `__getattr__`
+# call, a module global does not
+_MINUS_BETA, _RANGE = TerminalKind.REACHED_MINUS_BETA, TerminalKind.RANGE_VIOLATION
+_ZERO, _DEGREE_ZERO_REAL = Kind.ZERO, Kind.DEGREE_ZERO_REAL
+_NOT_REAL_Q, _NOT_IN_LATTICE = Kind.NOT_REAL_Q, Kind.NOT_IN_LATTICE
+_REAL_KINDS = frozenset((Kind.REAL_POSITIVE, Kind.REAL_NEGATIVE, _DEGREE_ZERO_REAL))
+_ALMOST_REAL_KINDS = frozenset((Kind.ALMOST_REAL_POSITIVE, Kind.ALMOST_REAL_NEGATIVE))
 
 # Each end of a degree >= 1 input, keyed by (terminal, whether the walk took
 # a step): its kind, its negation's, and its json and plain terminal names
@@ -321,7 +329,7 @@ def _walk(
             # x = beta, whose output is -beta.  Any other end breaks the
             # caller's guarantee.
             if first == last == -1 and bottom == 0:
-                terminal = TerminalKind.REACHED_MINUS_BETA
+                terminal = _MINUS_BETA
                 break
             entries = _entries(sig)
             vector = tuple(e + r for e in entries[:k]) + entries[k:]
@@ -330,7 +338,7 @@ def _walk(
                 " not -beta: its input broke the range or q = 2 precondition"
             )
         if lo < 0 or hi > d:
-            terminal = TerminalKind.RANGE_VIOLATION
+            terminal = _RANGE
             break
         out = dict(sig[j + 1 :])
         if m > left:
@@ -392,11 +400,11 @@ def _classified(
     hi, lo = sig[0][0], sig[-1][0]
     if d == 0:
         if hi == lo == 0:
-            return Classification(Kind.ZERO, None, None, 0)
+            return Classification(_ZERO, None, None, 0)
         # one 1, one -1, and any other entries 0
         if sig[0] == (1, 1) and sig[-1] == (-1, 1) and len(sig) <= 3:
-            return Classification(Kind.DEGREE_ZERO_REAL, None, None, 0)
-        return Classification(Kind.NOT_REAL_Q, None, squares, 0)
+            return Classification(_DEGREE_ZERO_REAL, None, None, 0)
+        return Classification(_NOT_REAL_Q, None, squares, 0)
     if lo < 0 or hi > d:
         return Classification(_RANGE_END.kind, _RANGE_TRACE, None, d)
     qv = squares + (2 - k) * d * d
@@ -413,6 +421,6 @@ def classify_entries(params: SystemParams, entries: Sequence[int]) -> Classifica
     entries = _admit(params, entries)
     sig, total, squares = _signature(entries)
     if total % params.k != 0:
-        return Classification(Kind.NOT_IN_LATTICE)
+        return Classification(_NOT_IN_LATTICE)
     # ints, of the right length, with k | sum: the constructor's own checks
     return _classified(_trusted(params, entries), sig, total, squares)

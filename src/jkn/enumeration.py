@@ -8,16 +8,19 @@ each, and weighting by the orbit size n! / prod(multiplicities!).
 The search picks the multiplicities (m_d, ..., m_1, m_0) of a
 representative's entries, recursing only on a nonzero one, so it is at most
 min(d, n) + 1 calls deep; the signature, representative and orbit size all
-come from those multiplicities.  At each leaf the walk takes the signature
-as it is, one call per orbit, so no list of them is ever held; the search
-also carries the representative's entries down next to the signature, for
-the orbit's record.
+come from those multiplicities.  A branch whose entries left can only be
+0s, 1s and 2s, because they lie in [0, 2] or their t - s is below 6, ends
+in closed form.  Each enumeration hands the search one leaf, which walks
+the signature as it is, one call per orbit, and builds the orbit's record,
+so no list of signatures is ever held; the search also carries the
+representative's entries down next to the signature, for the record.
 
 Every orbit of degree d, over all (k, n) at once, is captured by a finite
 list of generic orbits: stripped to minimal support, a representative is a
 vector of J(k_min, n_min) with k_min <= 2d-1 and n_min - k_min <= 2d-1, so
 one search of J(2d-1, 4d-2) per degree finds them all, each core stripped
-from its host representative by `lattice._stripped`.  A generic orbit
+from its host representative by `lattice._stripped`, at the ends that the
+signature's first and last pairs count.  A generic orbit
 re-specializes to any large enough (k, n) by the inverse rule `_extended`.
 """
 
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable
 
-from .classify import TerminalKind, _walk
+from .classify import _MINUS_BETA, TerminalKind, _walk
 from .errors import ContractError
 from .lattice import LatticeVector, SystemParams, _extended, _slot_init
 from .lattice import _stripped, _trusted
@@ -110,8 +113,7 @@ OrbitClass.__init__ = _slot_init(OrbitClass)
 GenericOrbit.__init__ = _slot_init(GenericOrbit)
 
 
-# A walk's end and the orbit kind it gives, looked up once per orbit
-_MINUS_BETA = TerminalKind.REACHED_MINUS_BETA
+# The orbit kinds a walk's end gives, bound once rather than read per orbit
 _REAL, _ALMOST_REAL = OrbitKind.REAL, OrbitKind.ALMOST_REAL
 
 
@@ -129,14 +131,16 @@ def _search(
     ((d, m_d), ..., (v+1, m_{v+1})) by m_v, ..., m_0 as the search reaches
     it; ``x`` holds the entries ``sig`` stands for, so no leaf re-expands one.
 
-    The `slots` entries left lie in [0, v], with sum s and square sum t.
-    m_v runs from high to low, so representatives come out lexicographically
+    The `slots` entries left lie in [0, v], with sum s >= 1 and square sum
+    t; t - s, the sum of c*(c-1) over them, is even, as at every root.  m_v
+    runs from high to low, so representatives come out lexicographically
     descending.  The entries after m_v are each some c <= v-1, so
     c <= c^2 <= (v-1)*c, their sum is at most (v-1)*slots, and `_fits`
     holds.  m_v = 0 moves on to v-1 in place rather than recursing.
 
-    A branch whose entries left can only be 0s, 1s and 2s (they lie in
-    [0, 2], or t' = s') ends in closed form instead of more calls.
+    A branch whose entries left can only be 0s, 1s and 2s ends in closed
+    form instead of more calls: they lie in [0, 2], or t' - s' < 6, since an
+    entry c >= 3 adds c*(c-1) >= 6 to t - s.
     """
     if t < s:
         return
@@ -154,14 +158,15 @@ def _search(
             if not _fits(w, rest, s2, t2):
                 continue
             sig2, x2 = sig + ((v, m),), x + (v,) * m
-            if t2 > s2 and w > 2:
+            if t2 - s2 >= 6 and w > 2:
                 _search(w, rest, s2, t2, sig2, x2, leaf)
                 continue
-            # c*(c-1) is 2 at c = 2 and 0 at c = 0, 1: entries left in [0, 2]
-            # are (t'-s')/2 twos, then ones (>= 0 by `_fits`), then zeros
+            # c*(c-1) is 2 at c = 2 and 0 at c = 0, 1: the entries left are
+            # (t'-s')/2 twos, then ones, then zeros; `_fits` implies ones >= 0
+            # only when w <= 2 (at s' = 3, t' = 7, w = 3 it fits, with none)
             twos = (t2 - s2) // 2
             ones, zeros = s2 - 2 * twos, rest - s2 + twos
-            if zeros >= 0:
+            if ones >= 0 and zeros >= 0:
                 sig2 += ((2, twos),) if twos else ()
                 sig2 += ((1, ones),) if ones else ()
                 sig2 += ((0, zeros),) if zeros else ()
@@ -174,42 +179,32 @@ def _search(
     # not reached: s >= 1 on every call, so at v = 1 the check above returns
 
 
-def _classes(k: int, n: int, d: int, record: Callable) -> None:
-    """Calls record(signature, entries, kind) for each orbit of degree d in
-    J(k,n), descending, as the search reaches it; the walk takes the
-    signature as the search built it, and the walks share one memo of
-    signatures, which lives for this call."""
-    known: dict[tuple, TerminalKind] = {}
-
-    def leaf(sig: tuple, x: tuple) -> None:
-        real = _walk(k, d, sig, known=known) is _MINUS_BETA
-        record(sig, x, _REAL if real else _ALMOST_REAL)
-
-    _search(d, n, k * d, 2 + (k - 2) * d * d, (), (), leaf)
-
-
 def enumerate_orbits(params: SystemParams, degree: int) -> tuple[OrbitClass, ...]:
     """All real and almost-real orbit classes of the given degree.
 
     One search over the multiplicities (m_d, ..., m_0), at most
     min(d, n) + 1 calls deep, gives each multiset signature, and from it the
     representative and its orbit size n! / prod(m_v!), with n! taken once.
-    Sorted lexicographically descending by representative.  The walks share
-    a memo that lives for this call only; nothing is cached across calls: a
-    caller that needs the result twice keeps it.
+    Sorted lexicographically descending by representative.  The leaf walks
+    each signature as the search built it, with a memo that lives for this
+    call only; nothing is cached across calls: a caller that needs the
+    result twice keeps it.
     """
     if degree < 1:
         raise ContractError(f"enumerate_orbits requires degree >= 1, got {degree}")
-    n_factorial = math.factorial(params.n)
+    k, n, d = params.k, params.n, degree
+    n_factorial = math.factorial(n)
+    known: dict[tuple, TerminalKind] = {}
     classes = []
     add = classes.append
 
-    def record(sig: tuple, x: tuple, kind: OrbitKind) -> None:
+    def leaf(sig: tuple, x: tuple) -> None:
+        kind = _REAL if _walk(k, d, sig, None, known) is _MINUS_BETA else _ALMOST_REAL
         size = n_factorial // math.prod(map(math.factorial, map(itemgetter(1), sig)))
         # the search keeps only signatures whose n entries are ints summing to k*d
-        add(OrbitClass(_trusted(params, x), degree, kind, size, sig))
+        add(OrbitClass(_trusted(params, x), d, kind, size, sig))
 
-    _classes(params.k, params.n, degree, record)
+    _search(d, n, k * d, 2 + (k - 2) * d * d, (), (), leaf)
     return tuple(classes)
 
 
@@ -239,25 +234,31 @@ def enumerate_generic(degree: int) -> tuple[GenericOrbit, ...]:
     """All generic orbits of the given degree.
 
     Each appears once in the host J(2d-1, 4d-2), in the order the search
-    reaches it; its core is the host representative stripped by the rule
-    `minimal_support` also uses (the trailing zeros, then leading d's while
-    k > 1), and its offset is k minus the host's d's, which is k_min minus
-    the d's left in the core.  Each distinct J(k_min, n_min) is built once.
+    reaches it, and is walked with a memo that lives for this call, as in
+    `enumerate_orbits`.  Its core is the host representative stripped by
+    the rule `minimal_support` also uses (the trailing zeros, then leading
+    d's while k > 1), with the counts m_d and m_0 read off the signature's
+    first and last pairs; its offset is k - m_d, which is k_min minus the
+    d's left in the core.  Each distinct J(k_min, n_min) is built once.
     """
     if degree < 1:
         raise ContractError(f"enumerate_generic requires degree >= 1, got {degree}")
     d, k = degree, 2 * degree - 1
+    known: dict[tuple, TerminalKind] = {}
     out = []
     add = out.append
     systems: dict[tuple[int, int], SystemParams] = {}
 
-    def record(sig: tuple, x: tuple, kind: OrbitKind) -> None:
-        k_min, core = _stripped(x, k, d)
+    def leaf(sig: tuple, x: tuple) -> None:
+        kind = _REAL if _walk(k, d, sig, None, known) is _MINUS_BETA else _ALMOST_REAL
+        (top, m_d), (low, m_0) = sig[0], sig[-1]
+        m_d = m_d if top == d else 0
+        k_min, core = _stripped(x, k, m_d, 0 if low else m_0)
         key = k_min, len(core)
         core_params = systems.get(key)
         if core_params is None:
             core_params = systems[key] = SystemParams(*key)
-        add(GenericOrbit(core, core_params, k - x.count(d), d, kind))
+        add(GenericOrbit(core, core_params, k - m_d, d, kind))
 
-    _classes(k, 2 * k, d, record)
+    _search(d, 2 * k, k * d, 2 + (k - 2) * d * d, (), (), leaf)
     return tuple(out)

@@ -91,7 +91,7 @@ def minimal_support(v: LatticeVector) -> tuple[SystemParams, LatticeVector]:
         raise ContractError(
             f"minimal_support requires entries in [0, {d}] (the degree)"
         )
-    k, core = _stripped(x, v.params.k, d)
+    k, core = _stripped(x, v.params.k, x.count(d), x.count(0))
     params = SystemParams(k, len(core))
     return params, LatticeVector(params, core)
 

@@ -273,14 +273,13 @@ def _extended(
     return (d,) * (k - k_min) + core + (0,) * (n - k - n_min + k_min)
 
 
-def _stripped(x: tuple[int, ...], k: int, d: int) -> tuple[int, tuple[int, ...]]:
+def _stripped(x: tuple, k: int, m_d: int, m_0: int) -> tuple[int, tuple]:
     """The inverse of `_extended`: (k_min, core) for non-increasing degree-d
-    entries x in [0, d] of J(k, len(x)), the trailing zeros dropped, then
-    leading d's while k > 1.  In such an x the zeros are exactly the trailing
-    ones and the d's the leading ones, so a count finds each end."""
-    stop = len(x) - x.count(0)
-    start = min(x.count(d), k - 1)
-    return k - start, x[start:stop]
+    entries x in [0, d] of J(k, len(x)), with m_d d's and m_0 zeros, which
+    are its leading and its trailing entries: the zeros dropped, then
+    leading d's while k > 1."""
+    start = min(m_d, k - 1)
+    return k - start, x[start : len(x) - m_0]
 
 
 def from_root_basis(c: RootCoefficients) -> LatticeVector:

@@ -2,8 +2,8 @@
 
 import math
 import time
-from collections import Counter
-from itertools import chain, repeat, starmap
+from collections import Counter, defaultdict
+from itertools import chain, combinations_with_replacement, groupby, repeat, starmap
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -23,6 +23,8 @@ from jkn import (
     minimal_support,
     q,
 )
+from jkn import enumeration
+from jkn.enumeration import _search
 from jkn.lattice import _extended, _stripped
 from jkn.golden import (
     ALMOST_COUNTS,
@@ -231,6 +233,54 @@ def test_high_degree_does_not_recurse_per_value():
     assert oc.orbit_size == math.comb(9, 3)
 
 
+def test_search_leaves_match_a_brute_force_listing():
+    """At every small node, v <= 6 and slots <= 8, and every s >= 1 and t with
+    t - s even (every root has both, and so every child), the leaves are the
+    non-increasing vectors of `slots` entries in [0, v] with sum s and square
+    sum t, descending, each with its signature.  The node (4, 3, 7, 23) has
+    the child s' = 3, t' = 7 at w = 3, which `_fits` passes and t' - s' < 6
+    ends in closed form, but which holds no vector of 0s, 1s and 2s: its
+    twos, (t' - s')/2 = 2, leave -1 ones."""
+    for v in range(1, 7):
+        for slots in range(1, 9):
+            listing = defaultdict(list)
+            for x in combinations_with_replacement(range(v, -1, -1), slots):
+                listing[sum(x), sum(c * c for c in x)].append(x)
+            for s in range(1, v * slots + 1):
+                for t in range(s, v * v * slots + 1, 2):
+                    leaves = []
+                    _search(v, slots, s, t, (), (), lambda *xs: leaves.append(xs))
+                    assert [x for _, x in leaves] == sorted(
+                        listing[s, t], reverse=True
+                    ), (v, slots, s, t)
+                    for sig, x in leaves:
+                        assert sig == tuple((c, len(list(g))) for c, g in groupby(x))
+    leaves = []
+    _search(4, 3, 7, 23, (), (), lambda *leaf: leaves.append(leaf))
+    assert leaves == []
+
+
+def test_search_calls_below_the_root_hold_an_entry_above_2(monkeypatch):
+    """Only a node with t - s >= 6 can hold an entry c >= 3, so no call below
+    the root starts with less; the recursion goes through the module global,
+    so the wrapper sees every call.  The orbit counts are pinned."""
+    search = enumeration._search
+    gaps = []
+
+    def counted(v, slots, s, t, sig, x, leaf):
+        gaps.append((sig, t - s))
+        search(v, slots, s, t, sig, x, leaf)
+
+    monkeypatch.setattr(enumeration, "_search", counted)
+    for k, n, d, real, almost in [(23, 46, 12, 1272, 3909), (7, 20, 11, 632, 1128)]:
+        gaps.clear()
+        kinds = Counter(oc.kind for oc in enumerate_orbits(SystemParams(k, n), d))
+        assert kinds == {OrbitKind.REAL: real, OrbitKind.ALMOST_REAL: almost}
+        (root_sig, _), *below = gaps
+        assert root_sig == () and below, (k, n, d)
+        assert all(sig and gap >= 6 for sig, gap in below), (k, n, d)
+
+
 @pytest.mark.parametrize(
     "k,n,period,total", [(3, 9, 3, 240), (4, 8, 2, 126), (6, 9, 3, 240)]
 )
@@ -356,7 +406,7 @@ def test_strip_then_extend_round_trips(case):
     """`_extended` undoes `_stripped`: the core carried back into J(k, n)
     with k - k_min leading d's and trailing zeros is x again."""
     x, k, d = case
-    k_min, core = _stripped(x, k, d)
+    k_min, core = _stripped(x, k, x.count(d), x.count(0))
     assert 1 <= k_min <= k
     assert _extended("x", core, k_min, d, SystemParams(k, len(x))) == x
 

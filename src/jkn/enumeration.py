@@ -8,12 +8,14 @@ each, and weighting by the orbit size n! / prod(multiplicities!).
 The search picks the multiplicities (m_d, ..., m_1, m_0) of a
 representative's entries, recursing only on a nonzero one, so it is at most
 min(d, n) + 1 calls deep; the signature, representative and orbit size all
-come from those multiplicities.  A branch whose entries left can only be
-0s, 1s and 2s, because they lie in [0, 2] or their t - s is below 6, ends
-in closed form.  Each enumeration hands the search one leaf, which walks
-the signature as it is, one call per orbit, and builds the orbit's record,
-so no list of signatures is ever held; the search also carries the
-representative's entries down next to the signature, for the record.
+come from those multiplicities.  A branch whose entries left lie in
+[0, 3], because its largest value left is at most 3 or its t - s is below
+12, ends in one loop over m_3: with four counts and three equations (slots,
+sum, square sum), m_3 fixes the twos, ones and zeros in closed form.  Each
+enumeration hands the search one leaf, which walks the signature as it is,
+one call per orbit, and builds the orbit's record, so no list of
+signatures is ever held; the search also carries the representative's
+entries down next to the signature, for the record.
 
 Every orbit of degree d, over all (k, n) at once, is captured by a finite
 list of generic orbits: stripped to minimal support, a representative is a
@@ -113,8 +115,10 @@ OrbitClass.__init__ = _slot_init(OrbitClass)
 GenericOrbit.__init__ = _slot_init(GenericOrbit)
 
 
-# The orbit kinds a walk's end gives, bound once rather than read per orbit
+# The orbit kinds a walk's end gives, and the orbit size's three functions,
+# bound once rather than read or built per orbit
 _REAL, _ALMOST_REAL = OrbitKind.REAL, OrbitKind.ALMOST_REAL
+_prod, _factorial, _counts = math.prod, math.factorial, itemgetter(1)
 
 
 def _fits(w: int, slots: int, s: int, t: int) -> bool:
@@ -136,47 +140,72 @@ def _search(
     runs from high to low, so representatives come out lexicographically
     descending.  The entries after m_v are each some c <= v-1, so
     c <= c^2 <= (v-1)*c, their sum is at most (v-1)*slots, and `_fits`
-    holds.  m_v = 0 moves on to v-1 in place rather than recursing.
+    holds.  m_v = 0 moves on to v-1 in place rather than recursing while
+    v-1 >= 4; below that it is one more branch.
 
-    A branch whose entries left can only be 0s, 1s and 2s ends in closed
-    form instead of more calls: they lie in [0, 2], or t' - s' < 6, since an
-    entry c >= 3 adds c*(c-1) >= 6 to t - s.
+    A branch whose entries left lie in [0, 3] ends in one loop over m_3
+    instead of more calls: they lie in [0, w] with w <= 3, or e = t' - s' is
+    below 12, since an entry c >= 4 adds c*(c-1) >= 12 to t - s.  Its four
+    counts then meet three equations, so m_3 fixes the other three:
+    twos = e/2 - 3*m_3, ones = s' - e + 3*m_3 and
+    zeros = slots' - s' + e/2 - m_3, and m_3 runs from high to low over the
+    range where all three are >= 0.
     """
     if t < s:
         return
     # every entry c has c*(c-1) <= t - s, which caps the largest
-    v = min(v, (1 + math.isqrt(1 + 4 * (t - s))) // 2)
+    cap = (1 + math.isqrt(1 + 4 * (t - s))) // 2
+    if cap < v:
+        v = cap
     while v:
         w = v - 1
         # left after m copies: s' = s - m*v, t' = t - m*v^2, slots' = slots - m;
         # s' <= w*slots' and t' <= w*s' bound m below, s' <= t' above; m = 0
-        # moves on to w below
-        hi = min(slots, s // v, t // (v * v), (t - s) // (v * w) if w else slots)
-        lo = max(1, s - w * slots, -((w * s - t) // v))
+        # is one more branch once w <= 3
+        hi = s // v
+        if slots < hi:
+            hi = slots
+        if t // (v * v) < hi:
+            hi = t // (v * v)
+        if w and (t - s) // (v * w) < hi:
+            hi = (t - s) // (v * w)
+        lo = 1 if w > 3 else 0
+        if lo < s - w * slots:
+            lo = s - w * slots
+        if lo < -((w * s - t) // v):
+            lo = -((w * s - t) // v)
         for m in range(hi, lo - 1, -1):
             rest, s2, t2 = slots - m, s - m * v, t - m * v * v
             if not _fits(w, rest, s2, t2):
                 continue
-            sig2, x2 = sig + ((v, m),), x + (v,) * m
-            if t2 - s2 >= 6 and w > 2:
+            sig2, x2, e = sig + ((v, m),) if m else sig, x + (v,) * m, t2 - s2
+            if e >= 12 and w > 3:
                 _search(w, rest, s2, t2, sig2, x2, leaf)
                 continue
-            # c*(c-1) is 2 at c = 2 and 0 at c = 0, 1: the entries left are
-            # (t'-s')/2 twos, then ones, then zeros; `_fits` implies ones >= 0
-            # only when w <= 2 (at s' = 3, t' = 7, w = 3 it fits, with none)
-            twos = (t2 - s2) // 2
-            ones, zeros = s2 - 2 * twos, rest - s2 + twos
-            if ones >= 0 and zeros >= 0:
-                sig2 += ((2, twos),) if twos else ()
-                sig2 += ((1, ones),) if ones else ()
-                sig2 += ((0, zeros),) if zeros else ()
-                leaf(sig2, x2 + (2,) * twos + (1,) * ones + (0,) * zeros)
-        # m = 0: the lower bounds at m = 0 are cheap rejects, and `_fits`
-        # implies both
-        if s > w * slots or t > w * s or not _fits(w, slots, s, t):
+            # twos, zeros >= 0 cap m_3 and ones >= 0 floors it; w <= 2 leaves
+            # no threes, and at w <= 1 `_fits` leaves e = 0, so no twos
+            half = e // 2
+            top = half // 3 if w > 2 else 0
+            if rest - s2 + half < top:
+                top = rest - s2 + half
+            low = -((s2 - e) // 3)
+            for m3 in range(top, (low if low > 0 else 0) - 1, -1):
+                twos, ones = half - 3 * m3, s2 - e + 3 * m3
+                zeros = rest - s2 + half - m3
+                sig3 = sig2 + ((3, m3),) if m3 else sig2
+                if twos:
+                    sig3 += ((2, twos),)
+                if ones:
+                    sig3 += ((1, ones),)
+                if zeros:
+                    sig3 += ((0, zeros),)
+                x3 = x2 + (3,) * m3 + (2,) * twos + (1,) * ones + (0,) * zeros
+                leaf(sig3, x3)
+        # m = 0 at w >= 4: the lower bounds at m = 0 are cheap rejects, and
+        # `_fits` implies both
+        if w < 4 or s > w * slots or t > w * s or not _fits(w, slots, s, t):
             return
         v = w
-    # not reached: s >= 1 on every call, so at v = 1 the check above returns
 
 
 def enumerate_orbits(params: SystemParams, degree: int) -> tuple[OrbitClass, ...]:
@@ -200,7 +229,7 @@ def enumerate_orbits(params: SystemParams, degree: int) -> tuple[OrbitClass, ...
 
     def leaf(sig: tuple, x: tuple) -> None:
         kind = _REAL if _walk(k, d, sig, None, known) is _MINUS_BETA else _ALMOST_REAL
-        size = n_factorial // math.prod(map(math.factorial, map(itemgetter(1), sig)))
+        size = n_factorial // _prod(map(_factorial, map(_counts, sig)))
         # the search keeps only signatures whose n entries are ints summing to k*d
         add(OrbitClass(_trusted(params, x), d, kind, size, sig))
 

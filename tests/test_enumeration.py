@@ -237,10 +237,12 @@ def test_search_leaves_match_a_brute_force_listing():
     """At every small node, v <= 6 and slots <= 8, and every s >= 1 and t with
     t - s even (every root has both, and so every child), the leaves are the
     non-increasing vectors of `slots` entries in [0, v] with sum s and square
-    sum t, descending, each with its signature.  The node (4, 3, 7, 23) has
-    the child s' = 3, t' = 7 at w = 3, which `_fits` passes and t' - s' < 6
-    ends in closed form, but which holds no vector of 0s, 1s and 2s: its
-    twos, (t' - s')/2 = 2, leave -1 ones."""
+    sum t, descending, each with its signature.  These nodes reach each
+    bound of the m_3 loop, the one that keeps twos, ones or zeros >= 0 and
+    the one that leaves no threes at w <= 2: without any of them some
+    leaves here differ.  The node (4, 3, 7, 23) has the child s' = 3,
+    t' = 7 at w = 3, which `_fits` passes, but whose loop is empty: m_3 = 0
+    leaves -1 ones, and m_3 = 1 leaves -1 twos."""
     for v in range(1, 7):
         for slots in range(1, 9):
             listing = defaultdict(list)
@@ -260,25 +262,31 @@ def test_search_leaves_match_a_brute_force_listing():
     assert leaves == []
 
 
-def test_search_calls_below_the_root_hold_an_entry_above_2(monkeypatch):
-    """Only a node with t - s >= 6 can hold an entry c >= 3, so no call below
-    the root starts with less; the recursion goes through the module global,
-    so the wrapper sees every call.  The orbit counts are pinned."""
+def test_search_calls_below_the_root_hold_an_entry_above_3(monkeypatch):
+    """Only a node with values up to v >= 4 left and t - s >= 12 can hold an
+    entry c >= 4; any other branch ends in a loop over m_3, so no call below
+    the root starts with less.  The recursion goes through the module
+    global, so the wrapper sees every call, and the call counts and the
+    orbit counts are pinned."""
     search = enumeration._search
-    gaps = []
+    calls = []
 
     def counted(v, slots, s, t, sig, x, leaf):
-        gaps.append((sig, t - s))
+        calls.append((sig, v, t - s))
         search(v, slots, s, t, sig, x, leaf)
 
     monkeypatch.setattr(enumeration, "_search", counted)
-    for k, n, d, real, almost in [(23, 46, 12, 1272, 3909), (7, 20, 11, 632, 1128)]:
-        gaps.clear()
+    for k, n, d, real, almost, count in [
+        (23, 46, 12, 1272, 3909, 3708),
+        (7, 20, 11, 632, 1128, 987),
+    ]:
+        calls.clear()
         kinds = Counter(oc.kind for oc in enumerate_orbits(SystemParams(k, n), d))
         assert kinds == {OrbitKind.REAL: real, OrbitKind.ALMOST_REAL: almost}
-        (root_sig, _), *below = gaps
+        assert len(calls) == count, (k, n, d)
+        (root_sig, _, _), *below = calls
         assert root_sig == () and below, (k, n, d)
-        assert all(sig and gap >= 6 for sig, gap in below), (k, n, d)
+        assert all(sig and v > 3 and gap >= 12 for sig, v, gap in below), (k, n, d)
 
 
 @pytest.mark.parametrize(

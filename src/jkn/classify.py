@@ -21,8 +21,9 @@ x is sorted once, into its signature: the (value, multiplicity) pairs,
 values descending.  The sum, the window ends and q are read off the
 signature, and the walk steps on signatures, at a cost per step of the
 number of distinct values.  A trace keeps each step's signature, r and
-degree; its :class:`ReductionStep` records, with their vectors, are built
-when a caller first reads ``steps``.
+degree; its :class:`ReductionStep` records and their vectors are built on
+each read of ``steps`` and not kept.  Records are stored once, in
+``__init__``, through `lattice._slot_init`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .errors import ContractError
@@ -134,12 +135,12 @@ ReductionStep.__init__ = _slot_init(ReductionStep)
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class ReductionTrace:
-    """How the walk ended, and its steps, built when first read.
+    """How the walk ended, and its steps, built each time they are read.
 
     The walk keeps each step as the signature of its sorted vector, its r
-    and its degree_after.  ``steps`` expands these into :class:`ReductionStep`
-    records the first time it is read and keeps them; step 0's
-    ``before_sort`` is the walk's input.  The kept signatures decide
+    and its degree_after.  ``steps`` expands these into fresh
+    :class:`ReductionStep` records on each read and does not keep them;
+    step 0's ``before_sort`` is the walk's input.  The kept signatures decide
     equality: two traces are equal exactly when their steps and terminals
     are.  The two zero-step traces, a range break before any step and
     q != 2, hold no vector; :func:`classify` builds each once, at import,
@@ -150,38 +151,29 @@ class ReductionTrace:
     terminal: TerminalKind
     _input: Optional[LatticeVector] = None
     _walked: tuple[tuple[tuple, int, int], ...] = ()
-    _steps: Optional[tuple[ReductionStep, ...]] = field(
-        default=None, init=False, compare=False
-    )
 
     @property
     def steps(self) -> tuple[ReductionStep, ...]:
-        steps = self._steps
-        if steps is None:
-            steps = tuple(self._expanded())
-            object.__setattr__(self, "_steps", steps)
-        return steps
-
-    def _rows(self) -> Iterator[tuple[tuple[int, ...], int, int]]:
-        """(sorted entries, r, degree_after) of each step, built one at a
-        time and not kept."""
-        for sig, r, d_after in self._walked:
-            yield _entries(sig), r, d_after
-
-    def _expanded(self) -> Iterator[ReductionStep]:
-        """The steps, built one at a time and not kept.  The vectors are
+        """The steps, built on each read and not kept.  The vectors are
         built unchecked: step i's input is s_beta of step i-1's sorted
         vector, and s_beta(y) = y + r*beta stays in the lattice, as does the
         sorted permutation of a lattice vector."""
-        before, prev = self._input, None
+        steps, before, prev = [], self._input, None
         for srt, r, d_after in self._rows():
             params = before.params
             if prev is not None:
                 k = params.k
                 shifted = tuple([c + shift for c in prev[:k]]) + prev[k:]
                 before = _trusted(params, shifted)
-            yield ReductionStep(before, _trusted(params, srt), r, d_after)
+            steps.append(ReductionStep(before, _trusted(params, srt), r, d_after))
             prev, shift = srt, r
+        return tuple(steps)
+
+    def _rows(self) -> Iterator[tuple[tuple[int, ...], int, int]]:
+        """(sorted entries, r, degree_after) of each step, built one at a
+        time and not kept."""
+        for sig, r, d_after in self._walked:
+            yield _entries(sig), r, d_after
 
     @property
     def _end(self) -> _End:

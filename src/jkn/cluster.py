@@ -11,9 +11,10 @@ the wrap-around inequality between the last and first rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .errors import ContractError
-from .lattice import LatticeVector, SystemParams, degree
+from .lattice import LatticeVector, SystemParams, _slot_init, degree
 
 __all__ = [
     "Profile",
@@ -25,18 +26,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Profile:
-    """d rows of sorted k-subsets of {1,...,n}, first row on top."""
+    """d rows of sorted k-subsets of {1,...,n}, first row on top, each
+    entry admitted as a vector's is, through ``operator.index``."""
 
     params: SystemParams
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        k, n = self.params.k, self.params.n
-        if not self.rows:
+    def __init__(self, params: SystemParams, rows: tuple[tuple[int, ...], ...]) -> None:
+        try:
+            rows = tuple(tuple(map(index, row)) for row in rows)
+        except TypeError:
+            raise ContractError("profile entries must be integers") from None
+        k, n = params.k, params.n
+        if not rows:
             raise ContractError("a profile needs at least one row")
-        for row in self.rows:
+        for row in rows:
             if len(row) != k:
                 raise ContractError(
                     f"every row must have exactly {k} elements, got {row}"
@@ -45,6 +51,7 @@ class Profile:
                 raise ContractError(f"row {row} leaves the range 1..{n}")
             if any(row[i] >= row[i + 1] for i in range(k - 1)):
                 raise ContractError(f"row {row} is not strictly increasing")
+        _store_profile(self, params, rows)
 
     @property
     def rank(self) -> int:
@@ -57,6 +64,9 @@ class Profile:
 
     def as_json_dict(self) -> dict:
         return {"rows": [list(row) for row in self.rows]}
+
+
+_store_profile = _slot_init(Profile)
 
 
 def phi(p: Profile) -> LatticeVector:

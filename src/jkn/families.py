@@ -23,6 +23,7 @@ from .lattice import (
     SystemParams,
     _extended,
     _root_coefficients,
+    _slot_init,
     _stripped,
     degree,
 )
@@ -242,7 +243,7 @@ def is_finite_type(params: SystemParams) -> bool:
     return definiteness_margin(params) > 0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class WeightVector:
     """A fundamental weight in both coordinate systems.
 
@@ -269,6 +270,9 @@ class WeightVector:
             "coords": [_fraction_str(c) for c in self.coords],
             "root_coeffs": [_fraction_str(c) for c in self.root_coeffs],
         }
+
+
+WeightVector.__init__ = _slot_init(WeightVector)
 
 
 def _fraction_str(c: Fraction) -> str:
@@ -376,7 +380,7 @@ def sum_of_positive_roots(params: SystemParams) -> LatticeVector:
 # Degree-vector form of J(3,8) elements
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ManinVector:
     """(a, b1..b8): the degree then the eight coordinates.
 
@@ -390,6 +394,9 @@ class ManinVector:
 
     def as_json_dict(self) -> dict:
         return {"a": self.a, "b": list(self.b)}
+
+
+ManinVector.__init__ = _slot_init(ManinVector)
 
 
 def to_manin(v: LatticeVector) -> ManinVector:

@@ -73,32 +73,30 @@ class SystemParams:
         return f"J({self.k},{self.n})"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class LatticeVector:
     """Element of ZDelta in the coordinates (x_1, ..., x_n).
 
     Construction turns the entries into a tuple of ints (bools and numpy
-    integers pass, floats and strings do not) and checks the length and
-    lattice membership (k | sum of entries) eagerly.  Only a vector the
-    library has proved to lie in the lattice skips these checks, through
-    `_trusted`: a negation, the vectors of a trace's steps (expanded from
-    the walk's signatures when the steps are read), an orbit representative
-    built from its signature, and the entries `classify_entries` has
-    already checked.  `_trusted` stores such a proved vector through its
-    slots with the `_slot_init` store the records use.  Every vector that
-    comes in from a caller is checked.
+    integers pass, floats and strings do not), checks the length and
+    lattice membership (k | sum of entries), and stores the fields through
+    the `_slot_init` store.  `_trusted` calls the same store without the
+    checks, for a vector the library has proved to lie in the lattice: a
+    negation, the vectors of a trace's steps (built on each read), an orbit
+    representative built from its signature, and the entries
+    `classify_entries` has checked.  Every vector from a caller is checked.
     """
 
     params: SystemParams
     x: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        x = _admit(self.params, self.x)
-        object.__setattr__(self, "x", x)
-        if sum(x) % self.params.k != 0:
+    def __init__(self, params: SystemParams, x: tuple[int, ...]) -> None:
+        x = _admit(params, x)
+        if sum(x) % params.k != 0:
             raise NotInLatticeError(
-                f"coordinate sum {sum(x)} is not divisible by k={self.params.k}"
+                f"coordinate sum {sum(x)} is not divisible by k={params.k}"
             )
+        _store_vector(self, params, x)
 
     def __neg__(self) -> "LatticeVector":
         # the negation of a lattice vector is a lattice vector
@@ -120,30 +118,56 @@ class LatticeVector:
         return {"k": self.params.k, "n": self.params.n, "x": list(self.x)}
 
 
+@dataclass(frozen=True, slots=True, init=False)
+class RootCoefficients:
+    """The same lattice element written in the simple-root basis.
+
+    `m_beta` is the coefficient of beta (the degree); `m` holds the
+    coefficients of alpha_1, ..., alpha_{n-1}.  Every integer tuple is a
+    lattice element in this basis, so beyond shape the coefficients are
+    only admitted as a vector's entries are, through ``operator.index``.
+    """
+
+    params: SystemParams
+    m_beta: int
+    m: tuple[int, ...]
+
+    def __init__(self, params: SystemParams, m_beta: int, m: tuple[int, ...]) -> None:
+        try:
+            m_beta, m = index(m_beta), tuple(map(index, m))
+        except TypeError:
+            raise ContractError("root coefficients must be integers") from None
+        if len(m) != params.n - 1:
+            raise ContractError(
+                f"expected {params.n - 1} alpha coefficients, got {len(m)}"
+            )
+        _store_coefficients(self, params, m_beta, m)
+
+    def as_json_dict(self) -> dict:
+        return {
+            "k": self.params.k,
+            "n": self.params.n,
+            "m_beta": self.m_beta,
+            "m": list(self.m),
+        }
+
+
 def _slot_init(cls: type) -> Callable[..., None]:
-    """An ``__init__`` for the frozen slots dataclass ``cls`` that stores each
-    field straight through its slot's member descriptor, with no checks.  The
-    frozen class's ``__setattr__`` refuses the store, and
-    ``object.__setattr__`` costs about twice as much.  It takes the ``init``
-    fields of ``dataclasses.fields(cls)`` in order, with their defaults, and
-    stores the default of each ``init=False`` field that has one.  Like the
-    ``__init__`` `dataclasses` writes, it is compiled from a few lines of
-    source whose only inputs are the field names; the defaults are bound as
-    objects, not written into the source."""
+    """The store that writes each record of the frozen slots dataclass
+    ``cls``, once: an ``__init__`` that takes the fields in order, with
+    their defaults, and stores each through its slot's member descriptor,
+    unchecked.  The frozen ``__setattr__`` refuses the store, and going
+    round it through ``object`` costs about twice as much.  A record of
+    proved values takes it as its ``__init__``; a checking ``__init__`` ends
+    by calling it.  Like the ``__init__`` `dataclasses` writes, it is
+    compiled from the field names alone; the defaults are bound as objects."""
     names, defaults, stores, namespace = [], [], [], {}
     for f in fields(cls):
-        if f.init:
-            names.append(f.name)
-            value = f.name
-            if f.default is not MISSING:
-                defaults.append(f.default)
-        elif f.default is not MISSING:
-            value = f"_default_{f.name}"
-            namespace[value] = f.default
-        else:
-            continue
+        names.append(f.name)
+        if f.default is not MISSING:
+            defaults.append(f.default)
         namespace[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
-        stores.append(f"\n    _set_{f.name}(self, {value})")
+        stores.append(f"\n    _set_{f.name}(self, {f.name})")
     exec(f"def __init__(self, {', '.join(names)}):{''.join(stores)}", namespace)
     init = namespace["__init__"]
     init.__defaults__ = tuple(defaults) or None
@@ -154,8 +178,10 @@ def _slot_init(cls: type) -> Callable[..., None]:
     return init
 
 
-# the store behind SystemParams' checks
+# the stores behind the checked records' __init__; `_trusted` skips the checks
 _store_params = _slot_init(SystemParams)
+_store_vector = _slot_init(LatticeVector)
+_store_coefficients = _slot_init(RootCoefficients)
 
 
 def _trusted(
@@ -163,7 +189,7 @@ def _trusted(
     x: tuple[int, ...],
     _new: Callable[[type], object] = object.__new__,
     _cls: type = LatticeVector,
-    _init: Callable[..., None] = _slot_init(LatticeVector),
+    _init: Callable[..., None] = _store_vector,
 ) -> LatticeVector:
     """A vector of ints the caller has proved to be in J(params)'s lattice;
     nothing is checked, and the fields go straight into their slots.  The
@@ -172,37 +198,6 @@ def _trusted(
     v = _new(_cls)
     _init(v, params, x)
     return v
-
-
-@dataclass(frozen=True, slots=True)
-class RootCoefficients:
-    """The same lattice element written in the simple-root basis.
-
-    `m_beta` is the coefficient of beta (the degree); `m` holds the
-    coefficients of alpha_1, ..., alpha_{n-1}.  Every integer tuple is a
-    lattice element in this basis, so there is nothing to validate beyond
-    shape.
-    """
-
-    params: SystemParams
-    m_beta: int
-    m: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.m, tuple):
-            object.__setattr__(self, "m", tuple(self.m))
-        if len(self.m) != self.params.n - 1:
-            raise ContractError(
-                f"expected {self.params.n - 1} alpha coefficients, got {len(self.m)}"
-            )
-
-    def as_json_dict(self) -> dict:
-        return {
-            "k": self.params.k,
-            "n": self.params.n,
-            "m_beta": self.m_beta,
-            "m": list(self.m),
-        }
 
 
 def _require_same_params(u: LatticeVector, v: LatticeVector) -> None:

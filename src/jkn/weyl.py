@@ -21,7 +21,7 @@ from operator import index
 from typing import Union
 
 from .errors import ContractError
-from .lattice import LatticeVector
+from .lattice import LatticeVector, _slot_init
 
 __all__ = [
     "S_BETA",
@@ -40,27 +40,30 @@ S_BETA = "b"
 Letter = Union[int, str]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class WeylWord:
     """A finite sequence of generators, each S(i) as an int or ``S_BETA``;
     the constructor stores each index as an int."""
 
     letters: tuple[Letter, ...]
 
-    def __post_init__(self) -> None:
-        letters = []
-        for ell in self.letters:
+    def __init__(self, letters: tuple[Letter, ...]) -> None:
+        admitted = []
+        for ell in letters:
             try:  # an index is admitted as a vector entry is
                 i = S_BETA if ell == S_BETA else index(ell)
             except TypeError:
                 i = 0
             if i != S_BETA and i < 1:
                 raise ContractError(f"bad word letter {ell!r}")
-            letters.append(i)
-        object.__setattr__(self, "letters", tuple(letters))
+            admitted.append(i)
+        _store_word(self, tuple(admitted))
 
     def __len__(self) -> int:
         return len(self.letters)
+
+
+_store_word = _slot_init(WeylWord)
 
 
 def apply_s_i(i: int, v: LatticeVector) -> LatticeVector:

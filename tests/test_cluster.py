@@ -16,6 +16,8 @@ from jkn import (
     phi,
 )
 
+from conftest import Index
+
 
 def test_canonical_profile_frozen():
     v = LatticeVector(SystemParams(3, 8), (2, 1, 1, 1, 1, 1, 1, 1))
@@ -62,6 +64,18 @@ def test_profile_validation():
         Profile(p, ((3, 2, 1),))  # not increasing
     with pytest.raises(ContractError):
         Profile(p, ())
+    for rows in (((1.5, 2, 3),), (("1", "2", "3"),), ((1, 2, None),), ((1, 2, 3), 4), 5):
+        with pytest.raises(ContractError, match="^profile entries must be integers$"):
+            Profile(p, rows)
+
+
+def test_profile_entries_are_admitted_as_vector_entries_are():
+    p = SystemParams(3, 8)
+    prof = Profile(p, [[True, Index(4), 7], (2, 5, 8)])
+    assert prof.rows == ((1, 4, 7), (2, 5, 8))
+    assert all(type(e) is int for row in prof.rows for e in row)
+    assert prof == Profile(p, ((1, 4, 7), (2, 5, 8)))
+    assert phi(prof) == LatticeVector(p, (1, 1, 0, 1, 1, 0, 1, 1))
 
 
 def test_not_canonical_when_columns_increase():

@@ -170,6 +170,25 @@ def test_root_coefficients_validation():
         RootCoefficients(p, 1, (0,) * 3)
 
 
+def test_root_coefficients_admit_what_vectors_admit():
+    p = SystemParams(3, 8)
+    c = RootCoefficients(p, True, [Index(2), 3, 4, 5, 6, 4, False])
+    assert type(c.m_beta) is int and type(c.m) is tuple
+    assert all(type(m) is int for m in c.m)
+    assert c == RootCoefficients(p, 1, (2, 3, 4, 5, 6, 4, 0))
+    assert c.as_json_dict()["m_beta"] == 1
+    for m_beta, m in (
+        (1.5, [0.5] * 7),
+        (True, (1, 2, 3, 4, 5, 6, "7")),
+        (1, (1, 2, 3, 4, 5, 6, 7.0)),
+        (None, (0,) * 7),
+        (Fraction(1), (0,) * 7),
+        (1, 7),
+    ):
+        with pytest.raises(ContractError, match="^root coefficients must be integers$"):
+            RootCoefficients(p, m_beta, m)
+
+
 @given(params_and_vector())
 def test_round_trip(pv):
     """e-coordinates -> root basis -> e-coordinates is the identity."""

@@ -5,16 +5,20 @@ the entries `classify_entries` has checked are built with `lattice._trusted`.
 Each is rebuilt here through the public constructor, which must accept it
 and give back an equal vector of ints, and `_trusted` must keep working when
 the name `LatticeVector` is rebound to a wrapper function, as the benchmark's
-tracer does.  The walk's `ReductionStep` records, the `ReductionTrace` and
-`Classification` that `classify` returns, and the `OrbitClass` and
-`GenericOrbit` records of the orbit search each have one constructor: the
-`__init__` that `lattice._slot_init` generates, storing the fields slot by
-slot and the defaults of the fields left out.  Each record the library
-returns must equal the one built from freshly checked vectors, and each
-class's `__init__` must keep to its dataclass fields and their defaults and
-read like a method written in the class.  The two zero-step traces, of a
-range break before any step and of a q violation, are shared by every
-result of their kind and must behave as records of their own.
+tracer does.  Every public record is written once, in its `__init__`,
+through the store `lattice._slot_init` generates.  The walk's
+`ReductionStep` records, the `ReductionTrace` and `Classification` that
+`classify` returns, the `OrbitClass` and `GenericOrbit` records of the orbit
+search, `WeightVector` and `ManinVector` take that store as their
+`__init__`; `SystemParams`, `LatticeVector`, `RootCoefficients`, `WeylWord`
+and `Profile` check their arguments first and then call it.  Each record
+the library returns must equal the one built from freshly checked vectors,
+and each of the twelve must stay a frozen dataclass whose `__init__` keeps
+to its fields and their defaults and reads like a method written in the
+class.  A trace's steps are built on each read and not kept.  The two
+zero-step traces, of a range break before any step and of a q violation,
+are shared by every result of their kind and must behave as records of
+their own.
 """
 
 import copy
@@ -29,18 +33,29 @@ from jkn import (
     Classification,
     GenericOrbit,
     LatticeVector,
+    ManinVector,
     OrbitClass,
+    Profile,
     ReductionStep,
     ReductionTrace,
+    RootCoefficients,
     SystemParams,
+    TerminalKind,
+    WeightVector,
+    WeylWord,
+    canonical_profile,
     classify,
     classify_entries,
     degree,
     delta_family,
     enumerate_generic,
     enumerate_orbits,
+    fundamental_weights,
     gamma,
+    parse_word,
     reduce_trace,
+    to_manin,
+    to_root_basis,
 )
 from jkn.classify import _walk
 
@@ -221,13 +236,25 @@ def test_slot_built_records_stay_frozen():
         assert getattr(record, name) is before
 
 
+E8_ROOT = LatticeVector(SystemParams(3, 8), (2, 1, 1, 1, 1, 1, 1, 1))
+
 RECORDS = {
     ReductionStep: lambda: reduce_trace(DEEP[0]).steps[1],
     ReductionTrace: lambda: reduce_trace(DEEP[0]),
     Classification: lambda: classify(-DEEP[0]),
     OrbitClass: lambda: enumerate_orbits(SystemParams(3, 9), 3)[0],
     GenericOrbit: lambda: enumerate_generic(4)[0],
+    WeightVector: lambda: fundamental_weights(SystemParams(3, 8))[2],
+    ManinVector: lambda: to_manin(E8_ROOT),
+    SystemParams: lambda: SystemParams(3, 8),
+    LatticeVector: lambda: DEEP[1],
+    RootCoefficients: lambda: to_root_basis(DEEP[0]),
+    WeylWord: lambda: parse_word("b,3,b,1"),
+    Profile: lambda: canonical_profile(E8_ROOT),
 }
+
+# The records whose __init__ checks its arguments before the store
+CHECKED = (SystemParams, LatticeVector, RootCoefficients, WeylWord, Profile)
 
 
 def _default(field):
@@ -236,11 +263,13 @@ def _default(field):
 
 @pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
 def test_record_init_keeps_to_its_fields(cls):
-    """The generated __init__ takes the dataclass fields, in order, with
-    their defaults, stores each argument in its own slot and the default of
-    each field it does not take, and is named as a method of the class."""
+    """Every record's __init__ takes the dataclass fields, in order, with
+    their defaults, and is named as a method of the class.  The generated
+    one stores each argument in its own slot unchanged; a checking one is
+    shown a value of each field's own."""
     record = RECORDS[cls]()
-    init_fields = [field for field in dataclasses.fields(cls) if field.init]
+    assert not cls.__dataclass_params__.init  # dataclasses writes no __init__
+    init_fields = dataclasses.fields(cls)
     names = tuple(field.name for field in init_fields)
     parameters = inspect.signature(cls).parameters
     assert tuple(parameters) == names
@@ -254,17 +283,19 @@ def test_record_init_keeps_to_its_fields(cls):
     assert cls(*values) == cls(**dict(zip(names, values))) == record
     marker = object()
     for name in names:
-        changed = dataclasses.replace(record, **{name: marker})
+        value = getattr(record, name) if cls in CHECKED else marker
+        changed = dataclasses.replace(record, **{name: value})
         assert [getattr(changed, other) for other in names] == [
-            marker if other == name else getattr(record, other) for other in names
+            value if other == name else getattr(record, other) for other in names
         ]
+    assert dataclasses.replace(record) == record
     assert pickle.loads(pickle.dumps(record)) == record
     assert copy.deepcopy(record) == record
     required = [field for field in init_fields if _default(field) is inspect.Parameter.empty]
     bare = cls(*values[: len(required)])
-    assert [getattr(bare, field.name) for field in dataclasses.fields(cls)] == [
+    assert [getattr(bare, field.name) for field in init_fields] == [
         getattr(record, field.name) if field in required else field.default
-        for field in dataclasses.fields(cls)
+        for field in init_fields
     ]
     with pytest.raises(TypeError):
         cls(*values[: len(required) - 1])
@@ -272,6 +303,18 @@ def test_record_init_keeps_to_its_fields(cls):
         cls(*values, values[0])
     with pytest.raises(TypeError):
         cls(*values, no_such_field=values[0])
+
+
+def test_trace_steps_are_built_on_each_read():
+    """Two reads of a walked trace's steps give equal tuples of fresh
+    records, and the trace keeps nothing but its dataclass fields."""
+    for v in DEEP:
+        trace = reduce_trace(v)
+        first, second = trace.steps, trace.steps
+        assert first == second and first is not second
+        assert all(a is not b for a, b in zip(first, second))
+        assert trace.__slots__ == tuple(f.name for f in dataclasses.fields(trace))
+    assert ReductionTrace(TerminalKind.Q_VIOLATION).steps == ()
 
 
 @pytest.mark.parametrize(
@@ -291,6 +334,14 @@ def test_zero_step_traces_are_shared_records(entries, label):
         "steps": [],
         "terminal": label,
     }
+    # the shared trace, its steps and repr read, holds what a fresh one does
+    repr(first.trace)
+    fresh = ReductionTrace(first.trace.terminal)
+    assert [getattr(first.trace, f.name) for f in dataclasses.fields(ReductionTrace)] == [
+        getattr(fresh, f.name) for f in dataclasses.fields(ReductionTrace)
+    ]
+    assert first.trace == fresh and hash(first.trace) == hash(fresh)
+    assert repr(first.trace) == repr(fresh)
     for other in (
         dataclasses.replace(first),
         dataclasses.replace(first, trace=dataclasses.replace(first.trace)),

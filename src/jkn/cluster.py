@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from operator import index
 
 from .errors import ContractError
-from .lattice import LatticeVector, SystemParams, _slot_init, degree
+from .lattice import LatticeVector, SystemParams, _require_params, _slot_init, degree
 
 __all__ = [
     "Profile",
@@ -35,6 +35,7 @@ class Profile:
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, params: SystemParams, rows: tuple[tuple[int, ...], ...]) -> None:
+        _require_params(params)
         try:
             rows = tuple(tuple(map(index, row)) for row in rows)
         except TypeError:

@@ -22,7 +22,6 @@ from .lattice import (
     LatticeVector,
     SystemParams,
     _extended,
-    _root_coefficients,
     _slot_init,
     _stripped,
     degree,
@@ -288,18 +287,26 @@ def fundamental_weights(params: SystemParams) -> tuple[WeightVector, ...]:
     positive definite (finite type).  The e-Gram matrix I - ((k-2)/k^2) J
     is a rank-one perturbation of I, so Sherman-Morrison inverts it in
     closed form: with M = k^2 - n(k-2) (the definiteness margin), every
-    weight is an integer vector over M.  With 1-indexed coordinates i, the
-    numerators of x_i are
+    weight is an integer vector over M.  Weight j has numerator lo on its
+    first j coordinates and hi on the rest:
 
-        omega_beta      : k,
-        omega_{alpha_j} : 2j - M [i <= j]           for 1 <= j <= k-1,
-        omega_{alpha_j} : (k-2)(n-j) + M [i > j]    for j >= k.
+        omega_beta      : lo = hi = k, j = n,
+        omega_{alpha_j} : lo = 2j - M, hi = 2j              for j < k,
+        omega_{alpha_j} : lo = (k-2)(n-j), hi = lo + M      for j >= k.
 
-    root_coeffs applies the to_root_basis formula to these integers: the
-    coordinate total is nk, jk(n-k) or (n-j)k^2 respectively, so the
-    degree total / k is exact, and the rest is an integer prefix sum.  The
-    call does O(n^2) integer operations and builds one Fraction per
-    distinct numerator.
+    Its root coefficients (the matching column of the inverse Cartan
+    matrix) are the to_root_basis formula on these numerators.  The
+    coordinate total t = lo j + hi (n-j) is nk, jk(n-k) or (n-j)k^2
+    respectively, so the degree D = t/k is exact, and the coefficient m_i
+    of alpha_i is linear in i between the breaks at j and k:
+
+        j < k  : i(D-lo) for i <= j,  i(D-hi) + (hi-lo) j for j < i < k,
+                 hi(n-i) for i >= k;
+        j >= k : i(D-lo) for i < k,  t - lo i for k <= i <= min(j, n-1),
+                 t - lo j - hi(i-j) for i > j.
+
+    So each weight is two numerators and three arithmetic progressions, and
+    nothing is summed.  The call builds one Fraction per distinct numerator.
     """
     margin = definiteness_margin(params)
     if margin < 0:
@@ -312,16 +319,51 @@ def fundamental_weights(params: SystemParams) -> tuple[WeightVector, ...]:
             f"{params} is of affine type: the Cartan matrix is singular"
         )
     k, n = params.k, params.n
-    over = _OverMargin(margin)
-    weights = [_weight(params, (k,) * n, over)]
+    frac = _OverMargin(margin).__getitem__
+    # omega_beta: lo = hi = k and j = n, so t = nk and D = n; its first
+    # step, n - k, is zero at k = n
+    s = n - k
+    m = [n, *(range(s, s * k, s) if s else (0,) * (k - 1)), *range(k * s, 0, -k)]
+    weights = [WeightVector(params, (frac(k),) * n, tuple(map(frac, m)))]
     for j in range(1, n):
         if j < k:
-            a = 2 * j
-            coords = (a - margin,) * j + (a,) * (n - j)
+            hi = 2 * j
+            lo = hi - margin
         else:
-            a = (k - 2) * (n - j)
-            coords = (a,) * j + (a + margin,) * (n - j)
-        weights.append(_weight(params, coords, over))
+            lo = (k - 2) * (n - j)
+            hi = lo + margin
+        t = lo * j + hi * (n - j)
+        if t % k:
+            raise RuntimeError(
+                f"a fundamental weight of {params} has coordinate total {t},"
+                f" not divisible by k={k}"
+            )
+        d = t // k
+        # each piece a range; a step that can be zero repeats one value
+        # instead.  On finite type d - lo and hi are positive: d - lo is
+        # M + j(n-k-2) for j < k and 2(n-j) for j >= k, hi is 2j for j < k,
+        # (k-2)(n-j) + M for j >= k, and j + 1 at k = 1.
+        m = [d]
+        s = d - lo
+        if j < k:
+            m += range(s, s * (j + 1), s)
+            s = d - hi
+            a = s * (j + 1) + margin * j
+            m += range(a, s * k + margin * j, s) if s else (a,) * (k - 1 - j)
+            m += range(hi * (n - k), 0, -hi)
+        else:
+            m += range(s, s * k, s)
+            a = t - lo * k
+            m += range(a, t - lo * (j + 1), -lo) if lo else (a,) * (j - k + 1)
+            a = t - lo * j
+            m += range(a - hi, a - hi * (n - j), -hi)
+        weights.append(
+            WeightVector(
+                params,
+                (frac(lo),) * j + (frac(hi),) * (n - j),
+                tuple(map(frac, m)),
+            )
+        )
     return tuple(weights)
 
 
@@ -335,22 +377,6 @@ class _OverMargin(dict):
     def __missing__(self, a: int) -> Fraction:
         self[a] = f = Fraction(a, self.margin)
         return f
-
-
-def _weight(
-    params: SystemParams, coords: tuple[int, ...], over: _OverMargin
-) -> WeightVector:
-    """Coordinate numerators over M with their root coefficients (to_root_basis)."""
-    k = params.k
-    total = sum(coords)
-    if total % k:
-        raise RuntimeError(
-            f"a fundamental weight of {params} has coordinate total {total},"
-            f" not divisible by k={k}"
-        )
-    coeffs = _root_coefficients(k, coords, total // k)
-    frac = over.__getitem__
-    return WeightVector(params, tuple(map(frac, coords)), tuple(map(frac, coeffs)))
 
 
 def sum_of_positive_roots(params: SystemParams) -> LatticeVector:

@@ -77,20 +77,22 @@ class SystemParams:
 class LatticeVector:
     """Element of ZDelta in the coordinates (x_1, ..., x_n).
 
-    Construction turns the entries into a tuple of ints (bools and numpy
-    integers pass, floats and strings do not), checks the length and
-    lattice membership (k | sum of entries), and stores the fields through
-    the `_slot_init` store.  `_trusted` calls the same store without the
-    checks, for a vector the library has proved to lie in the lattice: a
-    negation, the vectors of a trace's steps (built on each read), an orbit
-    representative built from its signature, and the entries
-    `classify_entries` has checked.  Every vector from a caller is checked.
+    Construction checks that ``params`` is a SystemParams, turns the
+    entries into a tuple of ints (bools and numpy integers pass, floats and
+    strings do not), checks the length and lattice membership (k | sum of
+    entries), and stores the fields through the `_slot_init` store.
+    `_trusted` calls the same store without the checks, for a vector the
+    library has proved to lie in the lattice: a negation, the vectors of a
+    trace's steps (built on each read), an orbit representative built from
+    its signature, and the entries `classify_entries` has checked.  Every
+    vector from a caller is checked.
     """
 
     params: SystemParams
     x: tuple[int, ...]
 
     def __init__(self, params: SystemParams, x: tuple[int, ...]) -> None:
+        _require_params(params)
         x = _admit(params, x)
         if sum(x) % params.k != 0:
             raise NotInLatticeError(
@@ -133,6 +135,7 @@ class RootCoefficients:
     m: tuple[int, ...]
 
     def __init__(self, params: SystemParams, m_beta: int, m: tuple[int, ...]) -> None:
+        _require_params(params)
         try:
             m_beta, m = index(m_beta), tuple(map(index, m))
         except TypeError:
@@ -198,6 +201,15 @@ def _trusted(
     v = _new(_cls)
     _init(v, params, x)
     return v
+
+
+def _require_params(params: object) -> None:
+    """ContractError unless ``params`` is a SystemParams; the checked records
+    call it before they read k or n."""
+    if not isinstance(params, SystemParams):
+        raise ContractError(
+            f"params must be a SystemParams, got {type(params).__name__}"
+        )
 
 
 def _require_same_params(u: LatticeVector, v: LatticeVector) -> None:

@@ -48,6 +48,12 @@ class WeylWord:
     letters: tuple[Letter, ...]
 
     def __init__(self, letters: tuple[Letter, ...]) -> None:
+        try:
+            letters = iter(letters)
+        except TypeError:
+            raise ContractError(
+                f"a word is a sequence of letters, got {type(letters).__name__}"
+            ) from None
         admitted = []
         for ell in letters:
             try:  # an index is admitted as a vector entry is

@@ -69,6 +69,11 @@ def test_profile_validation():
             Profile(p, rows)
 
 
+def test_profile_refuses_params_that_are_not_system_params():
+    with pytest.raises(ContractError, match="^params must be a SystemParams, got tuple$"):
+        Profile((3, 8), ((1, 2, 3),))
+
+
 def test_profile_entries_are_admitted_as_vector_entries_are():
     p = SystemParams(3, 8)
     prof = Profile(p, [[True, Index(4), 7], (2, 5, 8)])

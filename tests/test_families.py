@@ -492,6 +492,46 @@ def test_weights_invert_sparse_cartan_at_large_n():
                 assert x[i - 1] == (i <= k) * rb + chain[i - 1] - chain[i], (p, col, i)
 
 
+ORACLE_SYSTEMS = _finite_systems(40) + [SystemParams(k, 300) for k in (1, 2, 298, 299)]
+
+
+def _root_matrix(p):
+    """Row a: weight a's root coefficients, branch node first."""
+    return [w.root_coeffs for w in fundamental_weights(p)]
+
+
+def test_weight_root_coefficients_are_symmetric():
+    """The root coefficients are C^-1, symmetric on a simply laced diagram."""
+    for p in ORACLE_SYSTEMS:
+        r = _root_matrix(p)
+        assert list(zip(*r)) == r, p
+
+
+def test_weights_dualize_by_reversing_the_chain():
+    """J(k,n) -> J(n-k,n) reverses the chain, alpha_i <-> alpha_{n-i}, and
+    fixes beta; on coordinates it is dualize's x -> (D - x_n, ..., D - x_1)."""
+    for p in ORACLE_SYSTEMS:
+        k, n = p.k, p.n
+        node = [0] + list(range(n - 1, 0, -1))  # node a of J(k,n) in the dual
+        ws = fundamental_weights(p)
+        dual = fundamental_weights(SystemParams(n - k, n))
+        for a, w in enumerate(ws):
+            d = sum(w.coords) / k
+            assert dual[node[a]].coords == tuple(d - c for c in reversed(w.coords))
+            r = dual[node[a]].root_coeffs
+            assert tuple(r[node[b]] for b in range(n)) == w.root_coeffs, (p, a)
+
+
+def test_a_n_weights_match_the_textbook_inverse():
+    """J(1,n) = A_n with node 1 = beta and node i+1 = alpha_i, where
+    (C^-1)_ij = min(i,j) (n+1 - max(i,j)) / (n+1)."""
+    n = 200
+    assert _root_matrix(SystemParams(1, n)) == [
+        tuple(F(min(i, j) * (n + 1 - max(i, j)), n + 1) for j in range(1, n + 1))
+        for i in range(1, n + 1)
+    ]
+
+
 def test_weights_reject_non_finite():
     with pytest.raises(ContractError, match="affine"):
         fundamental_weights(SystemParams(3, 9))

@@ -79,6 +79,11 @@ def test_direct_construction_normalises_entries():
     assert v.as_json_dict()["x"] == [1, 0, 0, -1, 0, 0]
 
 
+def test_vector_refuses_params_that_are_not_system_params():
+    with pytest.raises(ContractError, match="^params must be a SystemParams, got tuple$"):
+        LatticeVector((3, 8), (2, 1, 1, 1, 1, 1, 1, 1))
+
+
 def test_beta_and_simple_roots():
     p = SystemParams(3, 8)
     b = beta_vector(p)
@@ -168,6 +173,11 @@ def test_root_coefficients_validation():
     p = SystemParams(3, 8)
     with pytest.raises(ContractError):
         RootCoefficients(p, 1, (0,) * 3)
+
+
+def test_root_coefficients_refuse_params_that_are_not_system_params():
+    with pytest.raises(ContractError, match="^params must be a SystemParams, got tuple$"):
+        RootCoefficients((3, 8), 1, (0,) * 7)
 
 
 def test_root_coefficients_admit_what_vectors_admit():

@@ -84,6 +84,11 @@ def test_word_letters_are_admitted_as_vector_entries_are():
             WeylWord((bad,))
 
 
+def test_word_refuses_a_non_iterable():
+    with pytest.raises(ContractError, match="^a word is a sequence of letters, got int$"):
+        WeylWord(5)
+
+
 def test_word_applies_first_letter_first():
     # s_beta then s_1 on beta in J(3,6)
     p = SystemParams(3, 6)

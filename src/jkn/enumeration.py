@@ -15,7 +15,12 @@ sum, square sum), m_3 fixes the twos, ones and zeros in closed form.  Each
 enumeration hands the search one leaf, which walks the signature as it is,
 one call per orbit, and builds the orbit's record, so no list of
 signatures is ever held; the search also carries the representative's
-entries down next to the signature, for the record.
+entries down next to the signature, for the record.  The loop takes each
+count's signature pair ((c, m),) and run (c,) * m from tables built once at
+import, for every c in [0, 3] and m below `_SHARED` = 64, so the records of
+all orbits share the same pairs; an orbit then brings the garbage collector
+up to four fewer new objects.  A tail of `_SHARED` or more entries, which only
+J(k, n) with n >= 64 has, builds its pieces inline.
 
 Every orbit of degree d, over all (k, n) at once, is captured by a finite
 list of generic orbits: stripped to minimal support, a representative is a
@@ -120,6 +125,18 @@ GenericOrbit.__init__ = _slot_init(GenericOrbit)
 _REAL, _ALMOST_REAL = OrbitKind.REAL, OrbitKind.ALMOST_REAL
 _prod, _factorial, _counts = math.prod, math.factorial, itemgetter(1)
 
+# The closed-form tail's pieces for a count m below _SHARED, indexed by m:
+# the signature piece ((c, m),) and the run (c,) * m for each c in [0, 3],
+# with () at m = 0 so that a zero count adds nothing.  About 0.1 MB; 64
+# covers every tail of J(k, n) with n < 64.
+_SHARED = 64
+_PAIRS3, _PAIRS2, _PAIRS1, _PAIRS0 = (
+    ((),) + tuple(((c, m),) for m in range(1, _SHARED)) for c in range(3, -1, -1)
+)
+_RUNS3, _RUNS2, _RUNS1, _RUNS0 = (
+    tuple((c,) * m for m in range(_SHARED)) for c in range(3, -1, -1)
+)
+
 
 def _fits(w: int, slots: int, s: int, t: int) -> bool:
     """Necessary for `slots` entries in [0, w] to have sum s, square sum t:
@@ -149,7 +166,9 @@ def _search(
     counts then meet three equations, so m_3 fixes the other three:
     twos = e/2 - 3*m_3, ones = s' - e + 3*m_3 and
     zeros = slots' - s' + e/2 - m_3, and m_3 runs from high to low over the
-    range where all three are >= 0.
+    range where all three are >= 0.  The four counts sum to slots', so when
+    slots' < `_SHARED` each pair and run comes from the shared tables, and
+    the signature grows by concatenation alone; a longer tail builds them.
     """
     if t < s:
         return
@@ -189,7 +208,17 @@ def _search(
             if rest - s2 + half < top:
                 top = rest - s2 + half
             low = -((s2 - e) // 3)
-            for m3 in range(top, (low if low > 0 else 0) - 1, -1):
+            stop = low - 1 if low > 0 else -1
+            if rest < _SHARED:
+                # the four counts sum to rest, so each piece is in the tables
+                for m3 in range(top, stop, -1):
+                    twos, ones = half - 3 * m3, s2 - e + 3 * m3
+                    zeros = rest - s2 + half - m3
+                    sig3 = sig2 + _PAIRS3[m3] + _PAIRS2[twos] + _PAIRS1[ones]
+                    x3 = x2 + _RUNS3[m3] + _RUNS2[twos] + _RUNS1[ones]
+                    leaf(sig3 + _PAIRS0[zeros], x3 + _RUNS0[zeros])
+                continue
+            for m3 in range(top, stop, -1):
                 twos, ones = half - 3 * m3, s2 - e + 3 * m3
                 zeros = rest - s2 + half - m3
                 sig3 = sig2 + ((3, m3),) if m3 else sig2

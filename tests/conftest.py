@@ -158,6 +158,63 @@ def entries_walk(k: int, x: Sequence[int]) -> tuple[list[tuple], TerminalKind]:
     raise RuntimeError("reduction failed to terminate")
 
 
+def real_orbits_by_ascent(
+    k: int, n: int, max_degree: int
+) -> dict[int, list[tuple[int, ...]]]:
+    """Independent oracle: the real orbit representatives of J(k,n) of each
+    degree up to max_degree, grown from beta without a search or a walk.
+
+    A real orbit x of degree d >= 2 has exactly one parent, the sorted
+    first step of its walk, of lower degree e.  Conversely x comes from its
+    parent y in exactly one way: its top k entries are H + r for a size-k
+    sub-multiset H of y's entries with r = (k-2)*e - sum(H) > 0, its other
+    entries are y - H, and min(H) + r >= max(y - H).  So growing from beta
+    over every such (H, r) lists each real orbit once.  Each child is s_beta
+    of a permutation of a real root, so it is a real root; completeness
+    rests on the walk characterisation, as the BFS oracle's does.  Returns
+    the non-increasing representatives by degree, in the order grown.
+    """
+    found: dict[int, list[tuple[int, ...]]] = {
+        d: [] for d in range(1, max_degree + 1)
+    }
+    found[1].append((1,) * k + (0,) * (n - k))
+    for e in range(1, max_degree):
+        cap = (k - 2) * e
+        for y in found[e]:
+            groups = [(c, len(tuple(run))) for c, run in itertools.groupby(y)]
+            for h, rest in _ascent_splits(groups, k, cap):
+                r = cap - sum(h)
+                if 0 < r <= max_degree - e:
+                    found[e + r].append(tuple(c + r for c in h) + rest)
+    return found
+
+
+def _ascent_splits(groups, k, cap):
+    """The (H, y - H), both non-increasing, for the size-k sub-multisets H of
+    y with sum(H) - min(H) <= cap - max(y - H), y's entries given as
+    (value, multiplicity) groups, descending.  Taking H's entries group by
+    group, the left side never falls and the right side is fixed by the
+    first entry left out, so a partial H that breaks it is pruned."""
+
+    def grow(i, need, taken, left, total):
+        if need == 0:
+            rest = left + tuple(c for c, m in groups[i:] for _ in range(m))
+            if total - taken[-1] <= cap - (rest[0] if rest else 0):
+                yield taken, rest
+            return
+        if i == len(groups):
+            return
+        c, m = groups[i]
+        for h in range(min(m, need), -1, -1):
+            taken2, left2 = taken + (c,) * h, left + (c,) * (m - h)
+            total2 = total + h * c
+            if taken2 and left2 and total2 - taken2[-1] > cap - left2[0]:
+                continue
+            yield from grow(i + 1, need - h, taken2, left2, total2)
+
+    return grow(0, k, (), (), 0)
+
+
 def bruteforce_positive_real_roots(
     params: SystemParams, max_degree: int, visited_cap: int = 10_000_000
 ) -> set[LatticeVector]:

@@ -8,7 +8,12 @@ from itertools import chain, combinations_with_replacement, groupby, repeat, sta
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import all_candidates, bruteforce_positive_real_roots, sorted_candidates
+from conftest import (
+    all_candidates,
+    bruteforce_positive_real_roots,
+    real_orbits_by_ascent,
+    sorted_candidates,
+)
 from jkn import (
     ContractError,
     LatticeVector,
@@ -185,6 +190,66 @@ def test_orbits_match_weyl_orbit_oracle(k, n, top):
         ]
         missed = [x for x in sorted_candidates(k, n, d) if x not in oracle]
         assert almost == missed, (k, n, d)
+
+
+def test_real_orbits_match_the_ascent_from_beta():
+    """The ascent from beta shares no code with the search or the walk: at
+    every degree its representatives, sorted, are the REAL ones that
+    `enumerate_orbits` lists, and it lists each once; each signature counts
+    its representative's runs.  Past the small keys, J(k,n) with n <= 80
+    and k in {3, 4, n-4, n-3} put every run of 0, 1, 2 or 3 up to past
+    `enumeration._SHARED` entries into some representative: the closed-form
+    tail builds each such run and its signature pair from a shared piece
+    below that count and inline from it on."""
+    keys = [(k, n, 9) for k in range(1, 8) for n in range(k, k + 10)]
+    keys += [(4, 60, 8), (5, 70, 7), (3, 200, 5)]
+    keys += [
+        (k, n, 6 if k < n - 4 else 5)
+        for n in range(8, 81)
+        for k in (3, 4, n - 4, n - 3)
+    ]
+    runs = set()
+    for k, n, top in keys:
+        grown = real_orbits_by_ascent(k, n, top)
+        p = SystemParams(k, n)
+        for d in range(1, top + 1):
+            orbits = enumerate_orbits(p, d)
+            reals = [oc.representative.x for oc in orbits if oc.kind is OrbitKind.REAL]
+            assert sorted(grown[d], reverse=True) == reals, (k, n, d)
+            for oc in orbits:
+                x = oc.representative.x
+                sig = tuple((c, len(list(g))) for c, g in groupby(x))
+                assert oc.multiset_signature == sig, (k, n, d, x)
+                runs.update(sig)
+    bound = enumeration._SHARED
+    assert {(c, m) for c in range(4) for m in range(1, bound + 8)} <= runs
+
+
+@pytest.mark.parametrize("k,n,d", [(4, 60, 8), (5, 70, 7), (3, 80, 6), (3, 200, 5)])
+def test_orbits_past_the_host_are_its_orbits_with_zeros(k, n, d):
+    """For n - k >= 2d - 1 every orbit of J(k,n) has at most k + 2d - 1
+    nonzero entries, so it is an orbit of the host J(k, k+2d-1) with zeros
+    appended: the same kind, in the same order, with a signature that
+    differs only in its zero count, and n! / prod(m!) members.  The keys'
+    closed-form tails hold 53-59 entries at J(4,60), 62-68 at J(5,70) and
+    more at J(3,80) and J(3,200): below, across and above the count
+    `enumeration._SHARED` from which the search builds the tail's pieces
+    instead of sharing them."""
+    host = SystemParams(k, k + 2 * d - 1)
+    zeros = n - host.n
+    orbits = enumerate_orbits(SystemParams(k, n), d)
+    hosted = enumerate_orbits(host, d)
+    assert orbits and len(orbits) == len(hosted)
+    for oc, ho in zip(orbits, hosted):
+        assert oc.representative.x == ho.representative.x + (0,) * zeros
+        assert (oc.degree, oc.kind) == (ho.degree, ho.kind)
+        *sig, (last, m) = ho.multiset_signature
+        sig += [(0, m + zeros)] if last == 0 else [(last, m), (0, zeros)]
+        assert oc.multiset_signature == tuple(sig)
+        multiplicities = Counter(oc.representative.x).values()
+        assert oc.orbit_size == math.factorial(n) // math.prod(
+            map(math.factorial, multiplicities)
+        )
 
 
 def test_extend_is_monotone():

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .errors import ContractError
-from .lattice import LatticeVector, SystemParams, _admit, _slot_init, _trusted
+from .lattice import LatticeVector, SystemParams, _admit, _slot_init, _trusted, _window
 
 __all__ = [
     "Kind",
@@ -88,7 +88,8 @@ class TerminalKind(str, enum.Enum):
 # call, a module global does not
 _MINUS_BETA, _RANGE = TerminalKind.REACHED_MINUS_BETA, TerminalKind.RANGE_VIOLATION
 _ZERO, _DEGREE_ZERO_REAL = Kind.ZERO, Kind.DEGREE_ZERO_REAL
-_NOT_REAL_Q, _NOT_IN_LATTICE = Kind.NOT_REAL_Q, Kind.NOT_IN_LATTICE
+_NOT_REAL_Q, _NOT_REAL_RANGE = Kind.NOT_REAL_Q, Kind.NOT_REAL_RANGE
+_NOT_IN_LATTICE = Kind.NOT_IN_LATTICE
 _REAL_KINDS = frozenset((Kind.REAL_POSITIVE, Kind.REAL_NEGATIVE, _DEGREE_ZERO_REAL))
 _ALMOST_REAL_KINDS = frozenset((Kind.ALMOST_REAL_POSITIVE, Kind.ALMOST_REAL_NEGATIVE))
 
@@ -111,8 +112,6 @@ _ENDS = {
         Kind.NOT_REAL_Q, Kind.NOT_REAL_Q, "q", "q violation"
     ),
 }
-_RANGE_END = _ENDS[TerminalKind.RANGE_VIOLATION, False]
-_Q_END = _ENDS[TerminalKind.Q_VIOLATION, False]
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -352,20 +351,14 @@ def _walk(
 def reduce_trace(v: LatticeVector) -> ReductionTrace:
     """Full reduction record for a range-valid q = 2 vector of degree >= 1.
 
-    The degree is checked first, so no walk runs on an input refused here;
-    the range and q checks are those of :func:`classify`, whose trace this
-    is.  Step 0's ``before_sort`` is ``v`` itself.
+    The degree and the window are checked first, by `lattice._window`, so no
+    walk runs on an input refused there; then q = 2 is that of
+    :func:`classify`, whose trace this is.  Step 0's ``before_sort`` is
+    ``v`` itself.
     """
-    sig, total, squares = _signature(v.x)
-    d = total // v.params.k
-    if d < 1:
-        raise ContractError(f"reduce_trace requires degree >= 1, got degree {d}")
-    c = _classified(v, sig, total, squares)
-    if c.kind is _RANGE_END.kind:
-        raise ContractError(
-            f"reduce_trace requires all entries in [0, {d}] (the degree)"
-        )
-    if c.kind is _Q_END.kind:
+    _window("reduce_trace", v)
+    c = classify(v)
+    if c.kind is _NOT_REAL_Q:
         raise ContractError(f"reduce_trace requires q = 2, got q = {c.q_value}")
     return c.trace
 
@@ -398,10 +391,10 @@ def _classified(
             return Classification(_DEGREE_ZERO_REAL, None, None, 0)
         return Classification(_NOT_REAL_Q, None, squares, 0)
     if lo < 0 or hi > d:
-        return Classification(_RANGE_END.kind, _RANGE_TRACE, None, d)
+        return Classification(_NOT_REAL_RANGE, _RANGE_TRACE, None, d)
     qv = squares + (2 - k) * d * d
     if qv != 2:
-        return Classification(_Q_END.kind, _Q_TRACE, qv, d)
+        return Classification(_NOT_REAL_Q, _Q_TRACE, qv, d)
     walked: list[tuple[tuple, int, int]] = []
     terminal = _walk(k, d, sig, walked)
     trace = ReductionTrace(terminal, v, tuple(walked))

@@ -11,8 +11,8 @@ resource limits, 5 an unexpected internal error (traceback on stderr),
 Vectors are comma-separated and may start with '-'; an argument of the
 form @file pulls one argument per line from the file, so
 `check 3 8 @vectors.txt` classifies a batch.  Each subcommand writes its
-output to stdout in the requested format as it renders it, and returns
-its exit code (None for 0).
+output to stdout in the requested format as it renders it (`orbits` and
+`generic` through one listing), and returns its exit code (None for 0).
 
 The modules only one subcommand or one format needs (the reference tables,
 json, csv, traceback) are imported where they are used, so that a command
@@ -36,7 +36,6 @@ from .enumeration import (
     GenericOrbit,
     OrbitClass,
     OrbitKind,
-    _count,
     count_almost_real_roots,
     count_real_roots,
     enumerate_generic,
@@ -176,8 +175,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return worst
 
 
+def _vector(args: argparse.Namespace) -> LatticeVector:
+    """The command's one vector, in J(k, n)."""
+    return LatticeVector(SystemParams(args.k, args.n), _parse_vector(args.vector))
+
+
 def _cmd_reduce(args: argparse.Namespace) -> None:
-    v = LatticeVector(SystemParams(args.k, args.n), _parse_vector(args.vector))
+    v = _vector(args)
     trace = reduce_trace(v)
 
     def plain() -> Iterator[str]:
@@ -196,26 +200,34 @@ def _summary(
     yield f"{real} real, {len(classes) - real} almost real"
 
 
-def _cmd_orbits(args: argparse.Namespace) -> None:
-    params = SystemParams(args.k, args.n)
-    orbits = enumerate_orbits(params, args.degree)
-    head = {"k": params.k, "n": params.n, "degree": args.degree}
-
-    def rows() -> Iterator[tuple]:
-        for oc in orbits:
-            x, kind = _spaced(oc.representative.x), oc.kind.value.lower()
-            yield x, oc.degree, kind, oc.orbit_size
-
+def _listing(
+    args: argparse.Namespace,
+    head: dict,
+    classes: Sequence[OrbitClass | GenericOrbit],
+    line: Callable[..., str],
+    header: Sequence[str],
+    row: Callable[..., Sequence[object]],
+) -> None:
+    """Render orbit classes: json is ``head`` plus ``"orbits"``, plain is
+    `_summary` of ``line``, csv is ``header`` then a ``row`` per class."""
     _render(
         args,
-        lambda: {**head, "orbits": [oc.as_json_dict() for oc in orbits]},
-        lambda: _summary(
-            orbits,
-            lambda oc: f"{_vec_str(oc.representative.x)} {oc.kind.value}"
-            f" size={oc.orbit_size}",
-        ),
+        lambda: {**head, "orbits": [c.as_json_dict() for c in classes]},
+        lambda: _summary(classes, line),
+        header,
+        lambda: map(row, classes),
+    )
+
+
+def _cmd_orbits(args: argparse.Namespace) -> None:
+    params, d = SystemParams(args.k, args.n), args.degree
+    _listing(
+        args,
+        {"k": params.k, "n": params.n, "degree": d},
+        enumerate_orbits(params, d),
+        lambda o: f"{_vec_str(o.representative.x)} {o.kind.value} size={o.orbit_size}",
         ("representative", "degree", "kind", "orbit_size"),
-        rows,
+        lambda o: (_spaced(o.representative.x), d, o.kind.value.lower(), o.orbit_size),
     )
 
 
@@ -236,25 +248,17 @@ def _cmd_tables(args: argparse.Namespace) -> None:
 
 
 def _cmd_generic(args: argparse.Namespace) -> None:
-    if args.degree < 1:
-        raise ContractError("--degree must be >= 1")
-    orbits = enumerate_generic(args.degree)
-
-    def rows() -> Iterator[tuple]:
-        for g in orbits:
-            k_min, n_min = g.core_params.k, g.core_params.n
-            yield g.degree, g.kind.value.lower(), k_min, n_min, _spaced(g.core)
-
-    _render(
+    d = args.degree
+    _listing(
         args,
-        lambda: {"degree": args.degree, "orbits": [g.as_json_dict() for g in orbits]},
-        lambda: _summary(
-            orbits,
-            lambda g: f"core={_vec_str(g.core)} at {g.core_params}"
-            f" pad=({args.degree})^(k-{g.d_multiplicity_offset}) {g.kind.value}",
-        ),
+        {"degree": d},
+        enumerate_generic(d),
+        lambda g: f"core={_vec_str(g.core)} at {g.core_params}"
+        f" pad=({d})^(k-{g.d_multiplicity_offset}) {g.kind.value}",
         ("degree", "kind", "k_min", "n_min", "core"),
-        rows,
+        lambda g: (
+            d, g.kind.value.lower(), g.core_params.k, g.core_params.n, _spaced(g.core)
+        ),
     )
 
 
@@ -303,14 +307,12 @@ def _cmd_families(args: argparse.Namespace) -> None:
 
 
 def _cmd_manin(args: argparse.Namespace) -> None:
-    v = LatticeVector(SystemParams(args.k, args.n), _parse_vector(args.vector))
-    mv = to_manin(v)
+    mv = to_manin(_vector(args))
     _render(args, mv.as_json_dict, lambda: [f"a = {mv.a}, b = {_vec_str(mv.b)}"])
 
 
 def _cmd_profile(args: argparse.Namespace) -> None:
-    v = LatticeVector(SystemParams(args.k, args.n), _parse_vector(args.vector))
-    p = canonical_profile(v)
+    p = canonical_profile(_vector(args))
     _render(
         args,
         p.as_json_dict,
@@ -340,8 +342,7 @@ def _cmd_convert(args: argparse.Namespace) -> None:
 
 def _cmd_word(args: argparse.Namespace) -> None:
     word = parse_word(args.word)
-    v = LatticeVector(SystemParams(args.k, args.n), _parse_vector(args.vector))
-    result = apply_word(word, v)
+    result = apply_word(word, _vector(args))
     _render(args, result.as_json_dict, lambda: [_vec_str(result.x)])
 
 
@@ -363,8 +364,10 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     ):
         for (k, n), expected in sorted(table.items()):
             params = SystemParams(k, n)
-            degrees = range(1, len(expected) + 1)
-            got = tuple(_count(orbits(params, d), kind) for d in degrees)
+            got = tuple(
+                sum(c.orbit_size for c in orbits(params, d) if c.kind is kind)
+                for d in range(1, len(expected) + 1)
+            )
             report(f"{label} {params}", got == expected, f"{got} != {expected}")
     # (k, None) and (None, None) rows hold generic counts, the others concrete
     for (k, n), expected in sorted(golden.ORBIT_COUNTS.items(), key=str):

@@ -3,9 +3,10 @@
 A profile is a sequence of d rows, each a sorted k-subset of {1,...,n}.
 The map phi sends a profile to the vector of occurrence counts, which
 lands in the lattice because the total count is k*d.  Conversely
-:func:`canonical_profile` builds, for any vector with entries in [0, d],
-a distinguished preimage that is canonical: weakly column decreasing with
-the wrap-around inequality between the last and first rows.
+:func:`canonical_profile` builds, for any vector in the window of
+`lattice._window` (degree d >= 1, entries in [0, d]), a distinguished
+preimage that is canonical: weakly column decreasing with the wrap-around
+inequality between the last and first rows.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from operator import index
 
 from .errors import ContractError
-from .lattice import LatticeVector, SystemParams, _require_params, _slot_init, degree
+from .lattice import LatticeVector, SystemParams, _require_params, _slot_init, _window
 
 __all__ = [
     "Profile",
@@ -88,13 +89,7 @@ def canonical_profile(v: LatticeVector) -> Profile:
     columns bottom-up along a makes the result canonical, and every
     position is hit exactly once, so phi returns v.
     """
-    d = degree(v)
-    if d < 1:
-        raise ContractError(f"canonical_profile requires degree >= 1, got {d}")
-    if any(c < 0 or c > d for c in v.x):
-        raise ContractError(
-            f"canonical_profile requires entries in [0, {d}] (the degree)"
-        )
+    d = _window("canonical_profile", v)
     k = v.params.k
     a: list[int] = []
     for i, mult in enumerate(v.x, start=1):

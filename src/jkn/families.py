@@ -2,11 +2,11 @@
 
 Covers the maps between systems (duality J(k,n) <-> J(n-k,n), one-step
 extensions, minimal support), the two one-per-degree families of real
-roots, the null roots and real-root families of the three affine systems
-(each named root a minimal-support core, extended into J(k,n)),
-fundamental weights and positive-root sums for finite types, and the
-degree-plus-coordinates form of J(3,8) elements used to match the
-classical E8 / del Pezzo tables.
+roots (both built by `_named`), the null roots and real-root families of
+the three affine systems (each named root a minimal-support core,
+extended into J(k,n)), fundamental weights and positive-root sums for
+finite types, and the degree-plus-coordinates form of J(3,8) elements
+used to match the classical E8 / del Pezzo tables.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .lattice import (
     _extended,
     _slot_init,
     _stripped,
+    _window,
     degree,
 )
 
@@ -77,20 +78,15 @@ def minimal_support(v: LatticeVector) -> tuple[SystemParams, LatticeVector]:
     """Undo every extension: strip trailing zeros, then leading degree entries
     (`lattice._stripped`, the inverse of the rule `extend` applies).
 
-    Requires a non-increasing vector of degree >= 1 with entries in
-    [0, degree].  k never drops below 1, so the all-ones vector of degree 1
-    ends at (1) in J(1,1).
+    Requires degree >= 1 with entries in [0, degree], the window
+    `lattice._window` checks first, and then a non-increasing vector.  k
+    never drops below 1, so the all-ones vector of degree 1 ends at (1) in
+    J(1,1).
     """
-    d = degree(v)
-    if d < 1:
-        raise ContractError(f"minimal_support requires degree >= 1, got {d}")
+    d = _window("minimal_support", v)
     x = v.x
     if any(x[i] < x[i + 1] for i in range(len(x) - 1)):
         raise ContractError("minimal_support requires a non-increasing vector")
-    if x[0] > d or x[-1] < 0:
-        raise ContractError(
-            f"minimal_support requires entries in [0, {d}] (the degree)"
-        )
     k, core = _stripped(x, v.params.k, x.count(d), x.count(0))
     params = SystemParams(k, len(core))
     return params, LatticeVector(params, core)
@@ -105,13 +101,7 @@ def gamma(d: int, params: SystemParams) -> LatticeVector:
 
     Defined for d >= 2; J(k,n) holds it when k >= 3 and n - k >= 2d - 1.
     """
-    if d < 2:
-        raise ContractError(f"gamma requires d >= 2, got {d}")
-    if d > params.n:  # the core cannot fit; refused before it is built
-        raise ContractError(f"gamma of degree {d} does not fit in {params}")
-    core = (d - 1,) + (1,) * (2 * d + 1)
-    what = f"gamma of degree {d}"
-    return LatticeVector(params, _extended(what, core, 3, d, params))
+    return _named("gamma", d, params, ((d - 1, 1), (1, 2 * d + 1)), 3)
 
 
 def delta_family(d: int, params: SystemParams) -> LatticeVector:
@@ -119,13 +109,22 @@ def delta_family(d: int, params: SystemParams) -> LatticeVector:
 
     Defined for d >= 2; J(k,n) holds it when k >= d + 1 and n - k >= d + 1.
     """
+    return _named("delta_family", d, params, ((d - 1, d + 1), (1, d + 1)), d + 1)
+
+
+def _named(
+    name: str, d: int, params: SystemParams, core: tuple, k_min: int
+) -> LatticeVector:
+    """The named family's degree-d root: its core, (value, multiplicity)
+    pairs of J(k_min, n_min), extended into J(params).  ContractError for
+    d < 2, or for a core that cannot fit, refused before it is built."""
     if d < 2:
-        raise ContractError(f"delta_family requires d >= 2, got {d}")
+        raise ContractError(f"{name} requires d >= 2, got {d}")
+    what = f"{name} of degree {d}"
     if d > params.n:  # the core cannot fit; refused before it is built
-        raise ContractError(f"delta_family of degree {d} does not fit in {params}")
-    core = (d - 1,) * (d + 1) + (1,) * (d + 1)
-    what = f"delta_family of degree {d}"
-    return LatticeVector(params, _extended(what, core, d + 1, d, params))
+        raise ContractError(f"{what} does not fit in {params}")
+    entries = sum(((c,) * m for c, m in core), ())
+    return LatticeVector(params, _extended(what, entries, k_min, d, params))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ quadratic form is
     q(x) = x_1^2 + ... + x_n^2 + (2 - k) * deg(x)^2,
 
 an integer for every lattice element.  Everything in this module is exact
-integer arithmetic.
+integer arithmetic.  The contraction walk's window, degree d >= 1 and every
+entry in [0, d], is checked here once, by `_window`, for each caller.
 """
 
 from __future__ import annotations
@@ -247,21 +248,26 @@ def to_root_basis(v: LatticeVector) -> RootCoefficients:
 
     and the coefficient of beta is d itself.
     """
+    k, x = v.params.k, v.x
     d = degree(v)
-    m = _root_coefficients(v.params.k, v.x, d)
-    return RootCoefficients(v.params, d, tuple(m[1:]))
-
-
-def _root_coefficients(k: int, x: Sequence[int], d: int) -> list[int]:
-    """Coefficients over (beta, alpha_1, ..., alpha_{n-1}), branch first, of
-    the entries x of degree d, by the formula of :func:`to_root_basis`."""
-    m = [d]
+    m = []
     prefix = 0
     total = k * d
     for j in range(1, len(x)):
         prefix += x[j - 1]
         m.append(j * d - prefix if j < k else total - prefix)
-    return m
+    return RootCoefficients(v.params, d, tuple(m))
+
+
+def _window(what: str, v: LatticeVector) -> int:
+    """The degree d of v when d >= 1 and every entry lies in [0, d], the
+    window the walk keeps; otherwise ContractError naming ``what``."""
+    d = degree(v)
+    if d < 1:
+        raise ContractError(f"{what} requires degree >= 1, got {d}")
+    if min(v.x) < 0 or max(v.x) > d:
+        raise ContractError(f"{what} requires entries in [0, {d}] (the degree)")
+    return d
 
 
 def _extended(

@@ -185,6 +185,28 @@ def test_usage_errors_exit_3(capsys):
     assert main([]) == 3
 
 
+# Refusals with the one stderr line each prints: "argv", message
+REFUSALS = [
+    ("generic --degree 0", "enumerate_generic requires degree >= 1, got 0"),
+    ("tables 3 9 --max 0", "--max must be >= 1"),
+    ("convert 3 8 3,1,3 --from-roots", "expected 8 coefficients (branch first), got 3"),
+    ("families affine 4 10 --series A1 --sign +", "affine requires --series, --sign and --m"),
+    ("families affine 4 10 --series Z9 --sign + --m 1", "unknown series 'Z9'"),
+    (
+        "families affine 4 10 --series A0 --sign - --m 1 --pair 9,2,1",
+        "--pair takes two comma-separated indices i,j",
+    ),
+    ("reduce 3 8 3,0,0,0,0,0,0,0", "reduce_trace requires entries in [0, 1] (the degree)"),
+    ("reduce 3 6 1,0,0,-1,0,0", "reduce_trace requires degree >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REFUSALS, ids=[r[0] for r in REFUSALS])
+def test_refusals_exit_3_with_one_line(capsys, argv, message):
+    assert main(shlex.split(argv)) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_contract_errors_exit_3(capsys):
     assert main(["weights", "3", "9"]) == 3  # affine: no weights
     assert main(["manin", "3", "7", "1,1,1,0,0,0,0"]) == 3
@@ -229,6 +251,21 @@ def test_weights_plain(capsys):
     code, out = run(capsys, "weights", "3", "6")
     assert code == 0
     assert "1/3(-1,2,2,2,2,2)" in out
+
+
+def test_weights_and_manin_json(capsys):
+    code, out = run(capsys, "weights", "1", "4", "--format", "json")
+    assert code == 0 and out.count("\n") == 1
+    blob = json.loads(out)
+    assert (blob["k"], blob["n"]) == (1, 4)
+    assert [w["label"] for w in blob["weights"]] == ["beta", "alpha_1", "alpha_2", "alpha_3"]
+    assert blob["weights"][1] == {
+        "label": "alpha_1",
+        "coords": ["-3/5", "2/5", "2/5", "2/5"],
+        "root_coeffs": ["3/5", "6/5", "4/5", "2/5"],
+    }
+    code, out = run(capsys, "manin", "3", "8", "2,1,1,1,1,1,1,1", "--format", "json")
+    assert (code, out) == (0, '{"a": 3, "b": [2, 1, 1, 1, 1, 1, 1, 1]}\n')
 
 
 def test_k_equal_to_n_answers_match_hand_values(capsys):

@@ -389,6 +389,11 @@ def test_degree_preconditions():
         count_real_roots(p, -1)
 
 
+def test_enumerate_generic_refuses_degree_zero():
+    with pytest.raises(ContractError, match="^enumerate_generic requires degree >= 1, got 0$"):
+        enumerate_generic(0)
+
+
 def test_generic_counts_match_reference():
     real_row, almost_row = ORBIT_COUNTS[(None, None)]
     for d in range(1, 8):
@@ -537,6 +542,20 @@ def test_minimal_support_frozen():
     )
     assert (p.k, p.n) == (3, 6)
     assert core.x == (1, 1, 1, 1, 1, 1)
+
+
+def test_minimal_support_preconditions():
+    p = SystemParams(3, 6)
+    for x, message in [
+        ((1, 0, 0, -1, 0, 0), "requires degree >= 1, got 0"),
+        ((1, 2, 1, 1, 1, 0), "requires a non-increasing vector"),
+        ((3, 1, 1, 1, 0, 0), r"requires entries in \[0, 2\] \(the degree\)"),
+        ((2, 2, 2, 1, 0, -1), r"requires entries in \[0, 2\] \(the degree\)"),
+        # the window is checked before the order
+        ((-1, 3, 2, 2, 0, 0), r"requires entries in \[0, 2\] \(the degree\)"),
+    ]:
+        with pytest.raises(ContractError, match=f"^minimal_support {message}$"):
+            minimal_support(LatticeVector(p, x))
 
 
 def test_minimal_support_at_large_n():

@@ -115,6 +115,25 @@ def test_families_refuse_a_huge_degree_before_building_it():
             family(2**62, SystemParams(3, 8))
 
 
+def test_family_refusals():
+    for family, name in ((gamma, "gamma"), (delta_family, "delta_family")):
+        with pytest.raises(ContractError, match=f"^{name} requires d >= 2, got 1$"):
+            family(1, SystemParams(6, 15))
+    with pytest.raises(
+        ContractError, match=r"^gamma of degree 3 needs k >= 3 and n - k >= 5, got J\(3,7\)$"
+    ):
+        gamma(3, SystemParams(3, 7))
+    with pytest.raises(
+        ContractError,
+        match=r"^delta_family of degree 4 needs k >= 5 and n - k >= 5, got J\(4,9\)$",
+    ):
+        delta_family(4, SystemParams(4, 9))
+    with pytest.raises(
+        ContractError, match=r"^delta_family of degree 9 does not fit in J\(3,8\)$"
+    ):
+        delta_family(9, SystemParams(3, 8))
+
+
 def test_families_are_real_roots():
     host = SystemParams(6, 15)
     for d in range(2, 6):

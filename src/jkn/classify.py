@@ -22,8 +22,10 @@ values descending.  The sum, the window ends and q are read off the
 signature, and the walk steps on signatures, at a cost per step of the
 number of distinct values.  A trace keeps each step's signature, r and
 degree; its :class:`ReductionStep` records and their vectors are built on
-each read of ``steps`` and not kept.  Records are stored once, in
-``__init__``, through `lattice._slot_init`.
+each read of ``steps`` and not kept.  The records are declared with
+`lattice._record`, so they share `lattice._Record`'s comparison, hash and
+repr (the trace writes its own repr, of its steps), and each is stored
+once, in ``__init__``, through `lattice._slot_init`.
 """
 
 from __future__ import annotations
@@ -31,11 +33,11 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .errors import ContractError
-from .lattice import LatticeVector, SystemParams, _admit, _slot_init, _trusted, _window
+from .lattice import LatticeVector, SystemParams, _admit, _record, _Record
+from .lattice import _trusted, _window
 
 __all__ = [
     "Kind",
@@ -114,8 +116,8 @@ _ENDS = {
 }
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ReductionStep:
+@_record
+class ReductionStep(_Record):
     """One application of x -> s_beta(dec(x)).
 
     ``before_sort`` is the vector entering the step, ``sorted`` its
@@ -129,11 +131,8 @@ class ReductionStep:
     degree_after: int
 
 
-ReductionStep.__init__ = _slot_init(ReductionStep)
-
-
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class ReductionTrace:
+@_record
+class ReductionTrace(_Record):
     """How the walk ended, and its steps, built each time they are read.
 
     The walk keeps each step as the signature of its sorted vector, its r
@@ -203,13 +202,12 @@ class ReductionTrace:
         return f"ReductionTrace(steps={self.steps!r}, terminal={self.terminal!r})"
 
 
-ReductionTrace.__init__ = _slot_init(ReductionTrace)
 _RANGE_TRACE = ReductionTrace(TerminalKind.RANGE_VIOLATION)
 _Q_TRACE = ReductionTrace(TerminalKind.Q_VIOLATION)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Classification:
+@_record
+class Classification(_Record):
     """Outcome of :func:`classify`.
 
     ``q_value`` is attached when the kind is NotRealQ.  ``degree`` is the
@@ -222,9 +220,6 @@ class Classification:
     trace: Optional[ReductionTrace] = None
     q_value: Optional[int] = None
     degree: Optional[int] = None
-
-
-Classification.__init__ = _slot_init(Classification)
 
 
 def _entries(sig: tuple) -> tuple[int, ...]:

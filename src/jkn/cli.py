@@ -16,7 +16,10 @@ output to stdout in the requested format as it renders it (`orbits` and
 
 The modules only one subcommand or one format needs (the reference tables,
 json, csv, traceback) are imported where they are used, so that a command
-does not pay for what it never runs.
+does not pay for what it never runs.  For the same reason the parser holds
+only the subcommand its first argument names, built from the one table
+`_COMMANDS` that the full parser, with all twelve, is built from when the
+first argument names none (no argument, -h, an unknown name, an @file).
 """
 
 from __future__ import annotations
@@ -324,11 +327,7 @@ def _cmd_convert(args: argparse.Namespace) -> None:
     params = SystemParams(args.k, args.n)
     values = _parse_vector(args.values)
     if args.from_roots:
-        if len(values) != params.n:
-            raise ContractError(
-                f"expected {params.n} coefficients (branch first), got"
-                f" {len(values)}"
-            )
+        # RootCoefficients refuses a count of values other than n
         v = from_root_basis(RootCoefficients(params, values[0], values[1:]))
         _render(args, v.as_json_dict, lambda: [_vec_str(v.x)])
         return
@@ -412,89 +411,99 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
-def _add(
-    subs: argparse._SubParsersAction,
-    name: str,
-    func: Callable[[argparse.Namespace], Optional[int]],
-    help: str,
-    kn: bool = True,
-) -> argparse.ArgumentParser:
-    """A subcommand running func, with the k and n positionals unless kn is False."""
-    p = subs.add_parser(name, help=help)
-    if kn:
-        p.add_argument("k", type=int)
-        p.add_argument("n", type=int)
-    p.set_defaults(func=func)
-    return p
+def _arg(*flags: str, **kwargs: object) -> tuple[tuple[str, ...], dict]:
+    """One ``add_argument`` call, as (flags, keyword arguments)."""
+    return flags, kwargs
 
 
-def _build_parser() -> _Parser:
+_K_N = (_arg("k", type=int), _arg("n", type=int))
+_VECTOR = _arg("vector", metavar="x1,..,xn")
+_DEGREE = _arg("--degree", type=int, required=True)
+
+# name: (function, help, arguments); --format and --time-limit come after
+_COMMANDS = {
+    "check": (
+        _cmd_check,
+        "classify vectors",
+        (*_K_N, _arg("vectors", nargs="+", metavar="x1,..,xn")),
+    ),
+    "reduce": (_cmd_reduce, "print the full reduction trace", (*_K_N, _VECTOR)),
+    "orbits": (_cmd_orbits, "orbit classes of one degree", (*_K_N, _DEGREE)),
+    "tables": (
+        _cmd_tables,
+        "root counts per degree",
+        (
+            *_K_N,
+            _arg("--max", type=int, required=True, help="largest degree"),
+            _arg("--kind", choices=["real", "almost"], default="real"),
+        ),
+    ),
+    "generic": (_cmd_generic, "orbit shapes over all large systems", (_DEGREE,)),
+    "weights": (_cmd_weights, "fundamental weights (finite types)", _K_N),
+    # the family name comes before k and n
+    "families": (
+        _cmd_families,
+        "named root families",
+        (
+            _arg("family", choices=["gamma", "delta", "null", "affine"]),
+            *_K_N,
+            _arg("--degree", type=int),
+            _arg("--series", help="A0..A3, B0..B3, C0..C2"),
+            _arg("--sign", choices=["+", "-"]),
+            _arg("--m", type=int),
+            _arg("--pair", help="i,j for the digit-0 series"),
+        ),
+    ),
+    "manin": (
+        _cmd_manin,
+        "degree-vector form of J(3,8) elements",
+        (*_K_N, _arg("vector", metavar="x1,..,x8")),
+    ),
+    "profile": (_cmd_profile, "canonical profile and its rotations", (*_K_N, _VECTOR)),
+    "convert": (
+        _cmd_convert,
+        "between e-coordinates and root basis",
+        (
+            *_K_N,
+            _arg("values", metavar="v1,..,vn"),
+            _arg(
+                "--from-roots",
+                action="store_true",
+                help="values are root-basis coefficients, branch coefficient first",
+            ),
+        ),
+    ),
+    "word": (
+        _cmd_word,
+        "apply a reflection word to a vector",
+        (
+            *_K_N,
+            _arg("word", help="letters like b,3,b,1 applied left to right"),
+            _VECTOR,
+        ),
+    ),
+    "selftest": (_cmd_selftest, "compare against embedded reference counts", ()),
+}
+
+
+def _build_parser(argv: Sequence[str] = ()) -> _Parser:
+    """The parser of ``argv``: with the subcommand named by its first
+    argument alone, which parses and reports that command as the full parser
+    does; with all of them when the first argument names none (no argument,
+    -h, an unknown name, an @file), which the top-level help and errors
+    list."""
     parser = _Parser(
         prog="jkn",
         description="Exact arithmetic for the root systems J(k,n).",
         fromfile_prefix_chars="@",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = _add(subs, "check", _cmd_check, "classify vectors")
-    p.add_argument("vectors", nargs="+", metavar="x1,..,xn")
-
-    p = _add(subs, "reduce", _cmd_reduce, "print the full reduction trace")
-    p.add_argument("vector", metavar="x1,..,xn")
-
-    p = _add(subs, "orbits", _cmd_orbits, "orbit classes of one degree")
-    p.add_argument("--degree", type=int, required=True)
-
-    p = _add(subs, "tables", _cmd_tables, "root counts per degree")
-    p.add_argument("--max", type=int, required=True, help="largest degree")
-    p.add_argument("--kind", choices=["real", "almost"], default="real")
-
-    p = _add(
-        subs, "generic", _cmd_generic, "orbit shapes over all large systems", kn=False
-    )
-    p.add_argument("--degree", type=int, required=True)
-
-    _add(subs, "weights", _cmd_weights, "fundamental weights (finite types)")
-
-    # the family name comes before k and n
-    p = _add(subs, "families", _cmd_families, "named root families", kn=False)
-    p.add_argument("family", choices=["gamma", "delta", "null", "affine"])
-    p.add_argument("k", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("--degree", type=int)
-    p.add_argument("--series", help="A0..A3, B0..B3, C0..C2")
-    p.add_argument("--sign", choices=["+", "-"])
-    p.add_argument("--m", type=int)
-    p.add_argument("--pair", help="i,j for the digit-0 series")
-
-    p = _add(subs, "manin", _cmd_manin, "degree-vector form of J(3,8) elements")
-    p.add_argument("vector", metavar="x1,..,x8")
-
-    p = _add(subs, "profile", _cmd_profile, "canonical profile and its rotations")
-    p.add_argument("vector", metavar="x1,..,xn")
-
-    p = _add(subs, "convert", _cmd_convert, "between e-coordinates and root basis")
-    p.add_argument("values", metavar="v1,..,vn")
-    p.add_argument(
-        "--from-roots",
-        action="store_true",
-        help="values are root-basis coefficients, branch coefficient first",
-    )
-
-    p = _add(subs, "word", _cmd_word, "apply a reflection word to a vector")
-    p.add_argument("word", help="letters like b,3,b,1 applied left to right")
-    p.add_argument("vector", metavar="x1,..,xn")
-
-    _add(
-        subs,
-        "selftest",
-        _cmd_selftest,
-        "compare against embedded reference counts",
-        kn=False,
-    )
-
-    # the shared options come last, after each subcommand's own
-    for name, p in subs.choices.items():
+    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    for name in names:
+        func, help, arguments = _COMMANDS[name]
+        p = subs.add_parser(name, help=help)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
         tabular = name in ("orbits", "tables", "generic")
         formats = ["plain", "json", "csv"] if tabular else ["plain", "json"]
         p.add_argument("--format", choices=formats, default="plain")
@@ -506,6 +515,7 @@ def _build_parser() -> _Parser:
             help="abort with exit 4 after this many seconds; 0 means no limit"
             " (default 300)",
         )
+        p.set_defaults(func=func)
     return parser
 
 
@@ -529,7 +539,9 @@ def _raise_time_limit(signum, frame):  # noqa: ANN001 - signal handler
 def main(argv: Optional[Sequence[str]] = None) -> int:
     use_alarm = False
     try:
-        args = _build_parser().parse_args(argv)
+        if argv is None:
+            argv = sys.argv[1:]
+        args = _build_parser(argv).parse_args(argv)
         if args.time_limit > 0 and hasattr(signal, "SIGALRM"):
             try:
                 previous = signal.signal(signal.SIGALRM, _raise_time_limit)

@@ -11,11 +11,11 @@ inequality between the last and first rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
 
 from .errors import ContractError
-from .lattice import LatticeVector, SystemParams, _require_params, _slot_init, _window
+from .lattice import LatticeVector, SystemParams, _record, _Record, _require_params
+from .lattice import _slot_init, _window
 
 __all__ = [
     "Profile",
@@ -27,8 +27,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Profile:
+@_record
+class Profile(_Record):
     """d rows of sorted k-subsets of {1,...,n}, first row on top, each
     entry admitted as a vector's is, through ``operator.index``."""
 

@@ -35,13 +35,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable
 
 from .classify import _MINUS_BETA, TerminalKind, _walk
 from .errors import ContractError
-from .lattice import LatticeVector, SystemParams, _extended, _slot_init
+from .lattice import LatticeVector, SystemParams, _extended, _record, _Record
 from .lattice import _stripped, _trusted
 
 __all__ = [
@@ -63,8 +62,8 @@ class OrbitKind(str, enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class OrbitClass:
+@_record
+class OrbitClass(_Record):
     """A permutation orbit, held by its non-increasing representative."""
 
     representative: LatticeVector
@@ -83,8 +82,8 @@ class OrbitClass:
         }
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class GenericOrbit:
+@_record
+class GenericOrbit(_Record):
     """One orbit shape valid across all large enough systems.
 
     ``core`` is the minimal-support representative, a vector of
@@ -114,10 +113,6 @@ class GenericOrbit:
             "degree": self.degree,
             "kind": self.kind.value,
         }
-
-
-OrbitClass.__init__ = _slot_init(OrbitClass)
-GenericOrbit.__init__ = _slot_init(GenericOrbit)
 
 
 # The orbit kinds a walk's end gives, and the orbit size's three functions,
@@ -276,11 +271,8 @@ def count_real_roots(params: SystemParams, degree: int) -> int:
 
 
 def count_almost_real_roots(params: SystemParams, degree: int) -> int:
-    """Number of positive almost-real roots of the given degree."""
-    if degree < 1:
-        raise ContractError(
-            f"count_almost_real_roots requires degree >= 1, got {degree}"
-        )
+    """Number of positive almost-real roots of the given degree;
+    `enumerate_orbits` refuses a degree below 1."""
     return _count(enumerate_orbits(params, degree), OrbitKind.ALMOST_REAL)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -22,7 +21,8 @@ from .lattice import (
     LatticeVector,
     SystemParams,
     _extended,
-    _slot_init,
+    _record,
+    _Record,
     _stripped,
     _window,
     degree,
@@ -241,8 +241,8 @@ def is_finite_type(params: SystemParams) -> bool:
     return definiteness_margin(params) > 0
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class WeightVector:
+@_record
+class WeightVector(_Record):
     """A fundamental weight in both coordinate systems.
 
     ``coords`` are e-basis rationals; ``root_coeffs`` expresses the same
@@ -268,9 +268,6 @@ class WeightVector:
             "coords": [_fraction_str(c) for c in self.coords],
             "root_coeffs": [_fraction_str(c) for c in self.root_coeffs],
         }
-
-
-WeightVector.__init__ = _slot_init(WeightVector)
 
 
 def _fraction_str(c: Fraction) -> str:
@@ -405,8 +402,8 @@ def sum_of_positive_roots(params: SystemParams) -> LatticeVector:
 # Degree-vector form of J(3,8) elements
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ManinVector:
+@_record
+class ManinVector(_Record):
     """(a, b1..b8): the degree then the eight coordinates.
 
     This is the coordinate form an element of J(3,8) takes after one
@@ -419,9 +416,6 @@ class ManinVector:
 
     def as_json_dict(self) -> dict:
         return {"a": self.a, "b": list(self.b)}
-
-
-ManinVector.__init__ = _slot_init(ManinVector)
 
 
 def to_manin(v: LatticeVector) -> ManinVector:

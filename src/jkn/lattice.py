@@ -20,12 +20,23 @@ quadratic form is
 an integer for every lattice element.  Everything in this module is exact
 integer arithmetic.  The contraction walk's window, degree d >= 1 and every
 entry in [0, d], is checked here once, by `_window`, for each caller.
+
+Every record of the package is declared with `_record` on the base
+`_Record`: a slots dataclass whose ``__repr__``, ``__eq__``, ``__hash__``,
+frozen ``__setattr__``/``__delattr__`` and pickling state are written once,
+in `_Record`, instead of compiled by `dataclasses` for each class at each
+import.  They behave as a frozen dataclass's do, and `dataclasses.fields`,
+`dataclasses.replace` and `dataclasses.is_dataclass` work as before; only
+``__dataclass_params__`` tells them apart, reading ``eq``, ``frozen`` and
+``repr`` as False.  Each record is written once, in its ``__init__``,
+through the store `_slot_init` builds.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from operator import index, neg
+from reprlib import recursive_repr
 from typing import Callable, Sequence
 
 from .errors import ContractError, NotInLatticeError
@@ -44,8 +55,87 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class SystemParams:
+class _Record:
+    """The methods every record shares, read from its class's field names
+    ``_names``: a frozen dataclass's ``__repr__``, ``__eq__``, ``__hash__``,
+    ``__setattr__`` and ``__delattr__``, with the same results, and its
+    pickling state, the list of field values, stored back through
+    ``object.__setattr__`` as `dataclasses` does."""
+
+    __slots__ = ()
+    _names: tuple[str, ...]
+
+    @recursive_repr()
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._names)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._names])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> list:
+        return list(self._values())
+
+    def __setstate__(self, state: list) -> None:
+        for name, value in zip(self._names, state):
+            object.__setattr__(self, name, value)
+
+
+def _record(cls: type) -> type:
+    """The `_Record` subclass ``cls`` as a slots dataclass of its annotated
+    fields, for which `dataclasses` compiles no method; its field names are
+    bound as ``_names``, and a class body without an ``__init__`` gets the
+    `_slot_init` store as its ``__init__``."""
+    own_init = "__init__" in cls.__dict__
+    cls = dataclass(slots=True, init=False, repr=False, eq=False)(cls)
+    cls._names = tuple(f.name for f in fields(cls))
+    if not own_init:
+        cls.__init__ = _slot_init(cls)
+    return cls
+
+
+def _slot_init(cls: type) -> Callable[..., None]:
+    """The store that writes each record of the slots dataclass ``cls``,
+    once: an ``__init__`` that takes the fields in order, with their
+    defaults, and stores each through its slot's member descriptor,
+    unchecked.  The frozen ``__setattr__`` refuses the store, and going
+    round it through ``object`` costs about twice as much.  A record of
+    proved values takes it as its ``__init__``; a checking ``__init__`` ends
+    by calling it.  Like the ``__init__`` `dataclasses` writes, it is
+    compiled from the field names alone; the defaults are bound as objects."""
+    names, defaults, stores, namespace = [], [], [], {}
+    for f in fields(cls):
+        names.append(f.name)
+        if f.default is not MISSING:
+            defaults.append(f.default)
+        namespace[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
+        stores.append(f"\n    _set_{f.name}(self, {f.name})")
+    exec(f"def __init__(self, {', '.join(names)}):{''.join(stores)}", namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = tuple(defaults) or None
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    init.__annotations__ = {name: cls.__annotations__[name] for name in names}
+    init.__annotations__["return"] = None
+    return init
+
+
+@_record
+class SystemParams(_Record):
     """Parameters (k, n) of a system J(k,n).
 
     1 <= k <= n, and every entry point accepts k = n.  J(n,n) is
@@ -74,8 +164,8 @@ class SystemParams:
         return f"J({self.k},{self.n})"
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class LatticeVector:
+@_record
+class LatticeVector(_Record):
     """Element of ZDelta in the coordinates (x_1, ..., x_n).
 
     Construction checks that ``params`` is a SystemParams, turns the
@@ -121,8 +211,8 @@ class LatticeVector:
         return {"k": self.params.k, "n": self.params.n, "x": list(self.x)}
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class RootCoefficients:
+@_record
+class RootCoefficients(_Record):
     """The same lattice element written in the simple-root basis.
 
     `m_beta` is the coefficient of beta (the degree); `m` holds the
@@ -154,32 +244,6 @@ class RootCoefficients:
             "m_beta": self.m_beta,
             "m": list(self.m),
         }
-
-
-def _slot_init(cls: type) -> Callable[..., None]:
-    """The store that writes each record of the frozen slots dataclass
-    ``cls``, once: an ``__init__`` that takes the fields in order, with
-    their defaults, and stores each through its slot's member descriptor,
-    unchecked.  The frozen ``__setattr__`` refuses the store, and going
-    round it through ``object`` costs about twice as much.  A record of
-    proved values takes it as its ``__init__``; a checking ``__init__`` ends
-    by calling it.  Like the ``__init__`` `dataclasses` writes, it is
-    compiled from the field names alone; the defaults are bound as objects."""
-    names, defaults, stores, namespace = [], [], [], {}
-    for f in fields(cls):
-        names.append(f.name)
-        if f.default is not MISSING:
-            defaults.append(f.default)
-        namespace[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
-        stores.append(f"\n    _set_{f.name}(self, {f.name})")
-    exec(f"def __init__(self, {', '.join(names)}):{''.join(stores)}", namespace)
-    init = namespace["__init__"]
-    init.__defaults__ = tuple(defaults) or None
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__module__ = cls.__module__
-    init.__annotations__ = {name: cls.__annotations__[name] for name in names}
-    init.__annotations__["return"] = None
-    return init
 
 
 # the stores behind the checked records' __init__; `_trusted` skips the checks

@@ -16,12 +16,11 @@ Words are plain sequences of generators applied eagerly, first letter first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
 from typing import Union
 
 from .errors import ContractError
-from .lattice import LatticeVector, _slot_init
+from .lattice import LatticeVector, _record, _Record, _slot_init
 
 __all__ = [
     "S_BETA",
@@ -40,8 +39,8 @@ S_BETA = "b"
 Letter = Union[int, str]
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class WeylWord:
+@_record
+class WeylWord(_Record):
     """A finite sequence of generators, each S(i) as an int or ``S_BETA``;
     the constructor stores each index as an int."""
 

@@ -185,11 +185,77 @@ def test_usage_errors_exit_3(capsys):
     assert main([]) == 3
 
 
+COMMANDS = list(jkn.cli._COMMANDS)
+
+
+def _subparser(parser, name):
+    (subs,) = parser._subparsers._group_actions
+    return subs.choices[name]
+
+
+def _outcome(parser, argv):
+    """The parsed namespace, or the message of the refusal."""
+    try:
+        return vars(parser.parse_args(argv))
+    except jkn.cli.ContractError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_one_subcommand_parser_reads_as_the_full_one(capsys, name):
+    """A command's parser is built alone, and its help, usage and refusal
+    of missing arguments are the full parser's, through `main` too."""
+    full, one = jkn.cli._build_parser(), jkn.cli._build_parser([name])
+    assert list(full._subparsers._group_actions[0].choices) == COMMANDS
+    assert list(one._subparsers._group_actions[0].choices) == [name]
+    alone, within = _subparser(one, name), _subparser(full, name)
+    assert alone.format_help() == within.format_help()
+    assert alone.format_usage() == within.format_usage()
+    assert _outcome(one, [name]) == _outcome(full, [name])
+    assert _outcome(one, [name, "--format", "x"]) == _outcome(full, [name, "--format", "x"])
+    with pytest.raises(SystemExit) as exit:
+        main([name, "-h"])
+    assert exit.value.code == 0
+    assert capsys.readouterr() == (within.format_help(), "")
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["nosuch", "3", "8"], ["@vectors.txt"]])
+def test_parser_without_a_command_first_has_every_subcommand(argv):
+    choices = jkn.cli._build_parser(argv)._subparsers._group_actions[0].choices
+    assert list(choices) == COMMANDS
+
+
+def test_top_level_usage_lists_every_subcommand(capsys, tmp_path):
+    """No command, -h, an unknown command and an @file holding the command
+    are read by the full parser, as before it was built per command."""
+    assert main([]) == 3
+    assert capsys.readouterr() == ("", "error: the following arguments are required: command\n")
+    with pytest.raises(SystemExit) as exit:
+        main(["-h"])
+    assert exit.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: jkn [-h]\n")
+    assert "{" + ",".join(COMMANDS) + "}" in out
+    assert main(["nosuch", "3", "8"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    # argparse's own wording, which quotes the names as its version does
+    assert err.startswith("error: argument command: invalid choice: ")
+    assert "nosuch" in err and [name for name in COMMANDS if name in err] == COMMANDS
+    command = tmp_path / "command.txt"
+    command.write_text("check\n3\n8\n2,1,1,1,1,1,1,1\n")
+    assert main([f"@{command}"]) == 0
+    from_file = capsys.readouterr()
+    assert main(["check", "3", "8", "2,1,1,1,1,1,1,1"]) == 0
+    assert from_file == capsys.readouterr()
+    assert from_file.out.startswith("real positive, degree 3\n")
+
+
 # Refusals with the one stderr line each prints: "argv", message
 REFUSALS = [
     ("generic --degree 0", "enumerate_generic requires degree >= 1, got 0"),
     ("tables 3 9 --max 0", "--max must be >= 1"),
-    ("convert 3 8 3,1,3 --from-roots", "expected 8 coefficients (branch first), got 3"),
+    ("convert 3 8 3,1,3 --from-roots", "expected 7 alpha coefficients, got 2"),
     ("families affine 4 10 --series A1 --sign +", "affine requires --series, --sign and --m"),
     ("families affine 4 10 --series Z9 --sign + --m 1", "unknown series 'Z9'"),
     (

@@ -383,7 +383,7 @@ def test_degree_preconditions():
     p = SystemParams(3, 9)
     with pytest.raises(ContractError):
         enumerate_orbits(p, 0)
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="^enumerate_orbits requires degree >= 1, got 0$"):
         count_almost_real_roots(p, 0)
     with pytest.raises(ContractError):
         count_real_roots(p, -1)

@@ -13,12 +13,14 @@ search, `WeightVector` and `ManinVector` take that store as their
 `__init__`; `SystemParams`, `LatticeVector`, `RootCoefficients`, `WeylWord`
 and `Profile` check their arguments first and then call it.  Each record
 the library returns must equal the one built from freshly checked vectors,
-and each of the twelve must stay a frozen dataclass whose `__init__` keeps
-to its fields and their defaults and reads like a method written in the
-class.  A trace's steps are built on each read and not kept.  The two
-zero-step traces, of a range break before any step and of a q violation,
-are shared by every result of their kind and must behave as records of
-their own.
+and each of the twelve must stay a dataclass that behaves as a frozen one,
+whose `__init__` keeps to its fields and their defaults and reads like a
+method written in the class.  Their `__repr__`, `__eq__`, `__hash__` and
+frozen setters are written once, in the base `lattice._Record`, and no
+record compiles its own.  A trace's steps are built on each read and not
+kept.  The two zero-step traces, of a range break before any step and of a
+q violation, are shared by every result of their kind and must behave as
+records of their own.
 """
 
 import copy
@@ -303,6 +305,33 @@ def test_record_init_keeps_to_its_fields(cls):
         cls(*values, values[0])
     with pytest.raises(TypeError):
         cls(*values, no_such_field=values[0])
+
+
+# ReductionTrace writes its steps, not its fields, in its own __repr__
+SHARED = {"__eq__", "__hash__", "__setattr__", "__delattr__"}
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
+def test_records_share_one_set_of_methods(cls):
+    """No record defines its own comparison, hash or frozen setters, nor,
+    but for ReductionTrace, its own repr: each inherits them from one base,
+    where they give what a frozen dataclass's give: the repr
+    ``Name(field=value, ...)``, the hash of the field tuple, equality of
+    field tuples between records of one class only."""
+    own = SHARED if cls is ReductionTrace else SHARED | {"__repr__"}
+    assert not own & set(cls.__dict__)
+    record = RECORDS[cls]()
+    names = tuple(field.name for field in dataclasses.fields(cls))
+    values = tuple(getattr(record, name) for name in names)
+    assert hash(record) == hash(values)
+    if cls is not ReductionTrace:
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+        assert repr(record) == f"{cls.__qualname__}({body})"
+    assert record.__eq__(values) is NotImplemented and record != values
+    assert record == cls(*values) and not record != cls(*values)
+    # dataclasses writes none of the shared methods for the record
+    flags = cls.__dataclass_params__
+    assert not (flags.eq or flags.frozen or flags.repr)
 
 
 def test_trace_steps_are_built_on_each_read():

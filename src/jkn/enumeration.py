@@ -11,16 +11,21 @@ min(d, n) + 1 calls deep; the signature, representative and orbit size all
 come from those multiplicities.  A branch whose entries left lie in
 [0, 3], because its largest value left is at most 3 or its t - s is below
 12, ends in one loop over m_3: with four counts and three equations (slots,
-sum, square sum), m_3 fixes the twos, ones and zeros in closed form.  Each
-enumeration hands the search one leaf, which walks the signature as it is,
-one call per orbit, and builds the orbit's record, so no list of
-signatures is ever held; the search also carries the representative's
-entries down next to the signature, for the record.  The loop takes each
-count's signature pair ((c, m),) and run (c,) * m from tables built once at
-import, for every c in [0, 3] and m below `_SHARED` = 64, so the records of
-all orbits share the same pairs; an orbit then brings the garbage collector
-up to four fewer new objects.  A tail of `_SHARED` or more entries, which only
-J(k, n) with n >= 64 has, builds its pieces inline.
+sum, square sum), m_3 fixes the twos, ones and zeros in closed form.  The
+loop takes each count's signature pair ((c, m),) and run (c,) * m from
+tables built once at import, for every c in [0, 3] and m below `_SHARED` =
+64, so the records of all orbits share the same pairs; an orbit then brings
+the garbage collector up to four fewer new objects.  A tail of `_SHARED` or
+more entries, which only J(k, n) with n >= 64 has, builds its pieces inline.
+
+Every reader of orbits goes through one entry, `_walked`: it runs the
+search once with the target square sum 2 + (k-2)*d^2, walks each signature
+as it is with a memo that lives for that call, and hands a leaf the
+signature, the representative's entries (which the search carries down
+next to it) and the orbit's kind, one call per orbit, so no list of
+signatures is ever held.  `enumerate_orbits` and `enumerate_generic` are
+leaves that build records; the root counts are one leaf that adds up orbit
+sizes and builds none.
 
 Every orbit of degree d, over all (k, n) at once, is captured by a finite
 list of generic orbits: stripped to minimal support, a representative is a
@@ -39,9 +44,8 @@ from operator import itemgetter
 from typing import Callable
 
 from .classify import _MINUS_BETA, TerminalKind, _walk
-from .errors import ContractError
 from .lattice import LatticeVector, SystemParams, _extended, _record, _Record
-from .lattice import _stripped, _trusted
+from .lattice import _admitted_degree, _stripped, _trusted
 
 __all__ = [
     "OrbitKind",
@@ -232,75 +236,88 @@ def _search(
         v = w
 
 
+def _walked(k: int, slots: int, d: int, leaf: Callable) -> None:
+    """Calls leaf(signature, entries, kind) for each degree-d orbit of
+    J(k, slots), lexicographically descending by representative: one
+    search for square sum 2 + (k-2)*d^2, and one walk memo for this call."""
+    known: dict[tuple, TerminalKind] = {}
+
+    def walked(sig: tuple, x: tuple) -> None:
+        end = _walk(k, d, sig, None, known)
+        leaf(sig, x, _REAL if end is _MINUS_BETA else _ALMOST_REAL)
+
+    _search(d, slots, k * d, 2 + (k - 2) * d * d, (), (), walked)
+
+
 def enumerate_orbits(params: SystemParams, degree: int) -> tuple[OrbitClass, ...]:
     """All real and almost-real orbit classes of the given degree.
 
-    One search over the multiplicities (m_d, ..., m_0), at most
-    min(d, n) + 1 calls deep, gives each multiset signature, and from it the
-    representative and its orbit size n! / prod(m_v!), with n! taken once.
-    Sorted lexicographically descending by representative.  The leaf walks
-    each signature as the search built it, with a memo that lives for this
-    call only; nothing is cached across calls: a caller that needs the
+    A record-building leaf on `_walked`, so sorted lexicographically
+    descending by representative; each orbit size n! / prod(m_v!) takes
+    n! once.  Nothing is cached across calls: a caller that needs the
     result twice keeps it.
     """
-    if degree < 1:
-        raise ContractError(f"enumerate_orbits requires degree >= 1, got {degree}")
-    k, n, d = params.k, params.n, degree
-    n_factorial = math.factorial(n)
-    known: dict[tuple, TerminalKind] = {}
+    d = _admitted_degree("enumerate_orbits", degree)
+    n_factorial = math.factorial(params.n)
     classes = []
     add = classes.append
 
-    def leaf(sig: tuple, x: tuple) -> None:
-        kind = _REAL if _walk(k, d, sig, None, known) is _MINUS_BETA else _ALMOST_REAL
+    def leaf(sig: tuple, x: tuple, kind: OrbitKind) -> None:
         size = n_factorial // _prod(map(_factorial, map(_counts, sig)))
         # the search keeps only signatures whose n entries are ints summing to k*d
         add(OrbitClass(_trusted(params, x), d, kind, size, sig))
 
-    _search(d, n, k * d, 2 + (k - 2) * d * d, (), (), leaf)
+    _walked(params.k, params.n, d, leaf)
     return tuple(classes)
 
 
 def count_real_roots(params: SystemParams, degree: int) -> int:
     """Number of positive real roots of the given degree."""
-    if degree < 0:
-        raise ContractError(f"count_real_roots requires degree >= 0, got {degree}")
-    if degree == 0:
+    d = _admitted_degree("count_real_roots", degree, 0)
+    if d == 0:
         return params.n * (params.n - 1) // 2
-    return _count(enumerate_orbits(params, degree), OrbitKind.REAL)
+    return _roots(params, d, _REAL)
 
 
 def count_almost_real_roots(params: SystemParams, degree: int) -> int:
-    """Number of positive almost-real roots of the given degree;
-    `enumerate_orbits` refuses a degree below 1."""
-    return _count(enumerate_orbits(params, degree), OrbitKind.ALMOST_REAL)
+    """Number of positive almost-real roots of the given degree."""
+    d = _admitted_degree("count_almost_real_roots", degree)
+    return _roots(params, d, _ALMOST_REAL)
 
 
-def _count(classes: tuple[OrbitClass, ...], kind: OrbitKind) -> int:
-    return sum(oc.orbit_size for oc in classes if oc.kind is kind)
+def _roots(params: SystemParams, d: int, kind: OrbitKind) -> int:
+    """The orbit sizes n! / prod(m_v!) of the degree-d orbits of this kind,
+    added up by a leaf on `_walked`, which builds no record."""
+    n_factorial = math.factorial(params.n)
+    sizes = []
+    add = sizes.append
+
+    def leaf(sig: tuple, x: tuple, got: OrbitKind) -> None:
+        if got is kind:
+            add(n_factorial // _prod(map(_factorial, map(_counts, sig))))
+
+    _walked(params.k, params.n, d, leaf)
+    return sum(sizes)
 
 
 def enumerate_generic(degree: int) -> tuple[GenericOrbit, ...]:
     """All generic orbits of the given degree.
 
-    Each appears once in the host J(2d-1, 4d-2), in the order the search
-    reaches it, and is walked with a memo that lives for this call, as in
-    `enumerate_orbits`.  Its core is the host representative stripped by
-    the rule `minimal_support` also uses (the trailing zeros, then leading
-    d's while k > 1), with the counts m_d and m_0 read off the signature's
-    first and last pairs; its offset is k - m_d, which is k_min minus the
-    d's left in the core.  Each distinct J(k_min, n_min) is built once.
+    A record-building leaf on `_walked` over the host J(2d-1, 4d-2): each
+    orbit appears there once, in the order the search reaches it.  Its core
+    is the host representative stripped by the rule `minimal_support` also
+    uses (the trailing zeros, then leading d's while k > 1), with the
+    counts m_d and m_0 read off the signature's first and last pairs; its
+    offset is k - m_d, which is k_min minus the d's left in the core.  Each
+    distinct J(k_min, n_min) is built once.
     """
-    if degree < 1:
-        raise ContractError(f"enumerate_generic requires degree >= 1, got {degree}")
-    d, k = degree, 2 * degree - 1
-    known: dict[tuple, TerminalKind] = {}
+    d = _admitted_degree("enumerate_generic", degree)
+    k = 2 * d - 1
     out = []
     add = out.append
     systems: dict[tuple[int, int], SystemParams] = {}
 
-    def leaf(sig: tuple, x: tuple) -> None:
-        kind = _REAL if _walk(k, d, sig, None, known) is _MINUS_BETA else _ALMOST_REAL
+    def leaf(sig: tuple, x: tuple, kind: OrbitKind) -> None:
         (top, m_d), (low, m_0) = sig[0], sig[-1]
         m_d = m_d if top == d else 0
         k_min, core = _stripped(x, k, m_d, 0 if low else m_0)
@@ -310,5 +327,5 @@ def enumerate_generic(degree: int) -> tuple[GenericOrbit, ...]:
             core_params = systems[key] = SystemParams(*key)
         add(GenericOrbit(core, core_params, k - m_d, d, kind))
 
-    _search(d, 2 * k, k * d, 2 + (k - 2) * d * d, (), (), leaf)
+    _walked(k, 2 * k, d, leaf)
     return tuple(out)

@@ -323,12 +323,23 @@ def to_root_basis(v: LatticeVector) -> RootCoefficients:
     return RootCoefficients(v.params, d, tuple(m))
 
 
+def _admitted_degree(what: str, d: int, least: int = 1) -> int:
+    """The degree d as an int, admitted as a vector's entries are (through
+    ``operator.index``), or ContractError naming ``what`` when it is not an
+    integer or is below ``least``."""
+    try:
+        d = index(d)
+    except TypeError:
+        raise ContractError(f"{what} requires an integer degree") from None
+    if d < least:
+        raise ContractError(f"{what} requires degree >= {least}, got {d}")
+    return d
+
+
 def _window(what: str, v: LatticeVector) -> int:
     """The degree d of v when d >= 1 and every entry lies in [0, d], the
     window the walk keeps; otherwise ContractError naming ``what``."""
-    d = degree(v)
-    if d < 1:
-        raise ContractError(f"{what} requires degree >= 1, got {d}")
+    d = _admitted_degree(what, degree(v))
     if min(v.x) < 0 or max(v.x) > d:
         raise ContractError(f"{what} requires entries in [0, {d}] (the degree)")
     return d

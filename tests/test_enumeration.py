@@ -3,12 +3,14 @@
 import math
 import time
 from collections import Counter, defaultdict
+from functools import partial
 from itertools import chain, combinations_with_replacement, groupby, repeat, starmap
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import (
+    Index,
     all_candidates,
     bruteforce_positive_real_roots,
     real_orbits_by_ascent,
@@ -93,8 +95,13 @@ def test_counts_match_reference_rows():
 
 
 def test_census_cross_check():
-    """Orbit sizes partition the candidate counts."""
-    for k, n, d in [(3, 9, 4), (4, 10, 4), (5, 11, 3), (3, 12, 5)]:
+    """Orbit sizes partition the candidate counts: the counting leaf, which
+    builds no record, adds up the sizes the records hold.  J(3,80) and
+    J(5,70) have closed-form tails of 64 or more entries, which the search
+    builds inline rather than from its shared pieces."""
+    for k, n, d in [
+        (3, 9, 4), (4, 10, 4), (5, 11, 3), (3, 12, 5), (3, 80, 6), (5, 70, 7), (7, 20, 11)
+    ]:
         p = SystemParams(k, n)
         orbits = enumerate_orbits(p, d)
         real = sum(oc.orbit_size for oc in orbits if oc.kind is OrbitKind.REAL)
@@ -383,10 +390,35 @@ def test_degree_preconditions():
     p = SystemParams(3, 9)
     with pytest.raises(ContractError):
         enumerate_orbits(p, 0)
-    with pytest.raises(ContractError, match="^enumerate_orbits requires degree >= 1, got 0$"):
+    with pytest.raises(
+        ContractError, match="^count_almost_real_roots requires degree >= 1, got 0$"
+    ):
         count_almost_real_roots(p, 0)
-    with pytest.raises(ContractError):
+    with pytest.raises(
+        ContractError, match="^count_real_roots requires degree >= 0, got -1$"
+    ):
         count_real_roots(p, -1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        partial(enumerate_orbits, SystemParams(3, 9)),
+        partial(count_real_roots, SystemParams(3, 9)),
+        partial(count_almost_real_roots, SystemParams(4, 10)),
+        enumerate_generic,
+    ],
+)
+def test_degree_is_admitted_as_an_integer(call):
+    """A degree passes as a vector's entries do, through operator.index:
+    bools and integer types with only __index__ give what the int gives,
+    and floats, even integral ones, and strings are refused by name."""
+    name = getattr(call, "func", call).__name__
+    for bad in (2.0, 2.5, "2", None):
+        with pytest.raises(ContractError, match=f"^{name} requires an integer degree$"):
+            call(bad)
+    assert call(True) == call(1)
+    assert call(Index(4)) == call(4) and call(4)
 
 
 def test_enumerate_generic_refuses_degree_zero():

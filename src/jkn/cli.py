@@ -39,6 +39,7 @@ from .enumeration import (
     GenericOrbit,
     OrbitClass,
     OrbitKind,
+    _census,
     count_almost_real_roots,
     count_real_roots,
     enumerate_generic,
@@ -353,8 +354,8 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     def report(label: str, ok: bool, detail: str = "") -> None:
         checks.append({"label": label, "ok": ok, "detail": "" if ok else detail})
 
-    # each orbit tuple and generic list is enumerated once for the run
-    orbits = functools.cache(enumerate_orbits)
+    # each (system, degree) is walked once, and each generic list enumerated once
+    census = functools.cache(_census)
     generic = functools.cache(enumerate_generic)
 
     for table, kind, label in (
@@ -363,10 +364,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     ):
         for (k, n), expected in sorted(table.items()):
             params = SystemParams(k, n)
-            got = tuple(
-                sum(c.orbit_size for c in orbits(params, d) if c.kind is kind)
-                for d in range(1, len(expected) + 1)
-            )
+            got = tuple(census(params, d)[kind][0] for d in range(1, len(expected) + 1))
             report(f"{label} {params}", got == expected, f"{got} != {expected}")
     # (k, None) and (None, None) rows hold generic counts, the others concrete
     for (k, n), expected in sorted(golden.ORBIT_COUNTS.items(), key=str):
@@ -374,10 +372,11 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         for d in range(1, len(expected[0]) + 1):
             if n is None:
                 classes = [g for g in generic(d) if k is None or g.core_params.k <= k]
-            else:
-                classes = orbits(SystemParams(k, n), d)
             for row, kind in zip(got, OrbitKind):
-                row.append(sum(1 for c in classes if c.kind is kind))
+                if n is None:
+                    row.append(sum(1 for c in classes if c.kind is kind))
+                else:
+                    row.append(census(SystemParams(k, n), d)[kind][1])
         if n is None:
             label = f"generic orbit counts (k={'any' if k is None else k})"
         else:

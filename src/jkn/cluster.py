@@ -14,8 +14,8 @@ from __future__ import annotations
 from operator import index
 
 from .errors import ContractError
-from .lattice import LatticeVector, SystemParams, _record, _Record, _require_params
-from .lattice import _slot_init, _window
+from .lattice import LatticeVector, SystemParams, _ints, _record, _Record
+from .lattice import _require_params, _slot_init, _window
 
 __all__ = [
     "Profile",
@@ -37,10 +37,7 @@ class Profile(_Record):
 
     def __init__(self, params: SystemParams, rows: tuple[tuple[int, ...], ...]) -> None:
         _require_params(params)
-        try:
-            rows = tuple(tuple(map(index, row)) for row in rows)
-        except TypeError:
-            raise ContractError("profile entries must be integers") from None
+        rows = _ints("profile entries", rows, lambda row: tuple(map(index, row)))
         k, n = params.k, params.n
         if not rows:
             raise ContractError("a profile needs at least one row")

@@ -24,8 +24,8 @@ as it is with a memo that lives for that call, and hands a leaf the
 signature, the representative's entries (which the search carries down
 next to it) and the orbit's kind, one call per orbit, so no list of
 signatures is ever held.  `enumerate_orbits` and `enumerate_generic` are
-leaves that build records; the root counts are one leaf that adds up orbit
-sizes and builds none.
+leaves that build records; `_census` counts each kind's roots and orbits
+and builds none.
 
 Every orbit of degree d, over all (k, n) at once, is captured by a finite
 list of generic orbits: stripped to minimal support, a representative is a
@@ -45,7 +45,7 @@ from typing import Callable
 
 from .classify import _MINUS_BETA, TerminalKind, _walk
 from .lattice import LatticeVector, SystemParams, _extended, _record, _Record
-from .lattice import _admitted_degree, _stripped, _trusted
+from .lattice import _admitted_degree, _require_params, _stripped, _trusted
 
 __all__ = [
     "OrbitKind",
@@ -257,6 +257,7 @@ def enumerate_orbits(params: SystemParams, degree: int) -> tuple[OrbitClass, ...
     n! once.  Nothing is cached across calls: a caller that needs the
     result twice keeps it.
     """
+    _require_params(params)
     d = _admitted_degree("enumerate_orbits", degree)
     n_factorial = math.factorial(params.n)
     classes = []
@@ -273,31 +274,31 @@ def enumerate_orbits(params: SystemParams, degree: int) -> tuple[OrbitClass, ...
 
 def count_real_roots(params: SystemParams, degree: int) -> int:
     """Number of positive real roots of the given degree."""
+    _require_params(params)
     d = _admitted_degree("count_real_roots", degree, 0)
     if d == 0:
         return params.n * (params.n - 1) // 2
-    return _roots(params, d, _REAL)
+    return _census(params, d)[_REAL][0]
 
 
 def count_almost_real_roots(params: SystemParams, degree: int) -> int:
     """Number of positive almost-real roots of the given degree."""
+    _require_params(params)
     d = _admitted_degree("count_almost_real_roots", degree)
-    return _roots(params, d, _ALMOST_REAL)
+    return _census(params, d)[_ALMOST_REAL][0]
 
 
-def _roots(params: SystemParams, d: int, kind: OrbitKind) -> int:
-    """The orbit sizes n! / prod(m_v!) of the degree-d orbits of this kind,
-    added up by a leaf on `_walked`, which builds no record."""
+def _census(params: SystemParams, d: int) -> dict[OrbitKind, tuple[int, int]]:
+    """{kind: (roots, orbits)} of degree d: a leaf on `_walked` that builds
+    no record adds up each kind's orbit sizes n! / prod(m_v!) and counts them."""
     n_factorial = math.factorial(params.n)
-    sizes = []
-    add = sizes.append
+    sizes: dict[OrbitKind, list[int]] = {_REAL: [], _ALMOST_REAL: []}
 
-    def leaf(sig: tuple, x: tuple, got: OrbitKind) -> None:
-        if got is kind:
-            add(n_factorial // _prod(map(_factorial, map(_counts, sig))))
+    def leaf(sig: tuple, x: tuple, kind: OrbitKind) -> None:
+        sizes[kind].append(n_factorial // _prod(map(_factorial, map(_counts, sig))))
 
     _walked(params.k, params.n, d, leaf)
-    return sum(sizes)
+    return {kind: (sum(got), len(got)) for kind, got in sizes.items()}
 
 
 def enumerate_generic(degree: int) -> tuple[GenericOrbit, ...]:

@@ -20,9 +20,11 @@ from .errors import ContractError
 from .lattice import (
     LatticeVector,
     SystemParams,
+    _admitted_degree,
     _extended,
     _record,
     _Record,
+    _require_params,
     _stripped,
     _window,
     degree,
@@ -117,9 +119,10 @@ def _named(
 ) -> LatticeVector:
     """The named family's degree-d root: its core, (value, multiplicity)
     pairs of J(k_min, n_min), extended into J(params).  ContractError for
-    d < 2, or for a core that cannot fit, refused before it is built."""
-    if d < 2:
-        raise ContractError(f"{name} requires d >= 2, got {d}")
+    params that are not a SystemParams, for d not an integer or below 2, or
+    for a core that cannot fit, refused before it is built."""
+    _require_params(params)
+    d = _admitted_degree(name, d, 2)
     what = f"{name} of degree {d}"
     if d > params.n:  # the core cannot fit; refused before it is built
         raise ContractError(f"{what} does not fit in {params}")
@@ -234,6 +237,7 @@ def definiteness_margin(params: SystemParams) -> int:
 
     Invariant under the duality k <-> n-k.
     """
+    _require_params(params)
     return params.k * params.k - params.n * (params.k - 2)
 
 

@@ -19,7 +19,9 @@ quadratic form is
 
 an integer for every lattice element.  Everything in this module is exact
 integer arithmetic.  The contraction walk's window, degree d >= 1 and every
-entry in [0, d], is checked here once, by `_window`, for each caller.
+entry in [0, d], is checked here once, by `_window`, for each caller; so
+are integer arguments, by `_ints` (a degree by `_admitted_degree`), and
+SystemParams arguments, by `_require_params`.
 
 Every record of the package is declared with `_record` on the base
 `_Record`: a slots dataclass whose ``__repr__``, ``__eq__``, ``__hash__``,
@@ -37,7 +39,7 @@ from __future__ import annotations
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from operator import index, neg
 from reprlib import recursive_repr
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ContractError, NotInLatticeError
 
@@ -152,10 +154,9 @@ class SystemParams(_Record):
     n: int
 
     def __init__(self, k: int, n: int) -> None:
-        try:
-            k, n = index(k), index(n)
-        except TypeError:
-            raise ContractError("k and n must be integers") from None
+        # plain ints pass as they are, without the slower `_ints`
+        if k.__class__ is not int or n.__class__ is not int:
+            k, n = _ints("k and n", (k, n))
         if not 1 <= k <= n:
             raise ContractError(f"require 1 <= k <= n, got k={k}, n={n}")
         _store_params(self, k, n)
@@ -183,7 +184,6 @@ class LatticeVector(_Record):
     x: tuple[int, ...]
 
     def __init__(self, params: SystemParams, x: tuple[int, ...]) -> None:
-        _require_params(params)
         x = _admit(params, x)
         if sum(x) % params.k != 0:
             raise NotInLatticeError(
@@ -227,10 +227,8 @@ class RootCoefficients(_Record):
 
     def __init__(self, params: SystemParams, m_beta: int, m: tuple[int, ...]) -> None:
         _require_params(params)
-        try:
-            m_beta, m = index(m_beta), tuple(map(index, m))
-        except TypeError:
-            raise ContractError("root coefficients must be integers") from None
+        what = "root coefficients"
+        (m_beta,), m = _ints(what, (m_beta,)), _ints(what, m)
         if len(m) != params.n - 1:
             raise ContractError(
                 f"expected {params.n - 1} alpha coefficients, got {len(m)}"
@@ -269,8 +267,11 @@ def _trusted(
 
 
 def _require_params(params: object) -> None:
-    """ContractError unless ``params`` is a SystemParams; the checked records
-    call it before they read k or n."""
+    """ContractError unless ``params`` is a SystemParams.  Every entry that
+    takes one reaches it before reading k or n: the checked records and
+    `classify_entries` through `_admit`, `affine_family`, `beta_vector` and
+    generic orbits through `_extended`, the finite-type functions through
+    `families.definiteness_margin`, and the rest directly."""
     if not isinstance(params, SystemParams):
         raise ContractError(
             f"params must be a SystemParams, got {type(params).__name__}"
@@ -352,6 +353,7 @@ def _extended(
     J(params): k - k_min leading d's and trailing zeros, the extensions that
     keep the degree and q.  ContractError names ``what`` when the core does
     not fit."""
+    _require_params(params)
     k, n = params.k, params.n
     n_min = len(core)
     if k < k_min or n - k < n_min - k_min:
@@ -389,14 +391,14 @@ def from_root_basis(c: RootCoefficients) -> LatticeVector:
 
 
 def beta_vector(params: SystemParams) -> LatticeVector:
-    """beta = e_1 + ... + e_k."""
-    return LatticeVector(
-        params, tuple(1 if i < params.k else 0 for i in range(params.n))
-    )
+    """beta = e_1 + ... + e_k: the core (1) of J(1,1), extended."""
+    return LatticeVector(params, _extended("beta", (1,), 1, 1, params))
 
 
 def simple_root(params: SystemParams, i: int) -> LatticeVector:
     """alpha_i = e_{i+1} - e_i for 1 <= i <= n-1."""
+    _require_params(params)
+    (i,) = _ints("alpha indices", (i,))
     if not 1 <= i <= params.n - 1:
         raise ContractError(f"alpha index must be in 1..{params.n - 1}, got {i}")
     x = [0] * params.n
@@ -409,13 +411,24 @@ def _admit(params: SystemParams, entries: Sequence[int]) -> tuple[int, ...]:
     """Entries as a tuple of n ints, or ContractError; lattice membership is
     the caller's to check.
 
-    Python ints, bools and numpy integers pass (``operator.index``); floats,
-    even integral ones, and strings do not.
+    Python ints, bools and numpy integers pass (`_ints`); floats, even
+    integral ones, and strings do not.  ``params`` must be a SystemParams.
     """
-    try:
-        x = tuple(map(index, entries))
-    except TypeError:
-        raise ContractError("coordinates must be integers") from None
+    _require_params(params)
+    x = _ints("coordinates", entries)
     if len(x) != params.n:
         raise ContractError(f"expected {params.n} coordinates, got {len(x)}")
     return x
+
+
+def _ints(
+    what: str, values: Iterable, admit: Callable[[object], object] = index
+) -> tuple:
+    """``values`` as a tuple, each admitted through ``operator.index`` (or
+    ``admit``), so that ints, bools and integer types with ``__index__``
+    pass; ContractError "{what} must be integers" for anything else,
+    ``values`` itself not iterable included."""
+    try:
+        return tuple(map(admit, values))
+    except TypeError:
+        raise ContractError(f"{what} must be integers") from None

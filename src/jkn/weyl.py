@@ -20,7 +20,7 @@ from operator import index
 from typing import Union
 
 from .errors import ContractError
-from .lattice import LatticeVector, _record, _Record, _slot_init
+from .lattice import LatticeVector, _ints, _record, _Record, _slot_init
 
 __all__ = [
     "S_BETA",
@@ -73,6 +73,7 @@ _store_word = _slot_init(WeylWord)
 
 def apply_s_i(i: int, v: LatticeVector) -> LatticeVector:
     """Swap entries i and i+1 (1-indexed)."""
+    (i,) = _ints("reflection indices", (i,))
     if not 1 <= i <= v.params.n - 1:
         raise ContractError(
             f"reflection index must be in 1..{v.params.n - 1}, got {i}"

@@ -677,6 +677,74 @@ def test_selftest_json(capsys):
     assert all(c["ok"] for c in blob["checks"])
 
 
+@pytest.mark.parametrize(
+    "table, key, row, label, detail",
+    [
+        pytest.param(
+            "REAL_COUNTS",
+            (3, 8),
+            (56, 28, 9, 0, 0, 0, 0),
+            "real root counts J(3,8)",
+            "(56, 28, 8, 0, 0, 0, 0) != (56, 28, 9, 0, 0, 0, 0)",
+            id="real",
+        ),
+        pytest.param(
+            "ALMOST_COUNTS",
+            (4, 10),
+            (0, 0, 0, 121, 0, 1260, 840),
+            "almost real root counts J(4,10)",
+            "(0, 0, 0, 120, 0, 1260, 840) != (0, 0, 0, 121, 0, 1260, 840)",
+            id="almost",
+        ),
+        pytest.param(
+            "ORBIT_COUNTS",
+            (3, 10),
+            ((1, 1, 1, 2, 2, 2, 3, 5, 5, 7, 8), (0,) * 11),
+            "orbit counts J(3,10)",
+            "[1, 1, 1, 2, 2, 2, 3, 5, 5, 7, 9]/[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]",
+            id="concrete-orbits",
+        ),
+        pytest.param(
+            "ORBIT_COUNTS",
+            (3, None),
+            (
+                (1, 1, 1, 2, 3, 5, 7, 13, 17, 28, 37),
+                (0, 0, 0, 0, 1, 1, 4, 7, 16, 27, 53),
+            ),
+            "generic orbit counts (k=3)",
+            "[1, 1, 1, 2, 3, 5, 7, 13, 17, 28, 37]/[0, 0, 0, 0, 1, 1, 4, 7, 16, 27, 52]",
+            id="generic-orbits",
+        ),
+        pytest.param(
+            "GENERIC_REAL_CORES",
+            2,
+            (((1, 1, 1, 1, 1, 1), 4),),
+            "generic orbit cores, degree 2",
+            "",
+            id="generic-cores",
+        ),
+    ],
+)
+def test_selftest_reports_a_wrong_row(capsys, monkeypatch, table, key, row, label, detail):
+    """One wrong reference row fails the self test: exactly its MISMATCH
+    line, exit 1, and "passed": false in json."""
+    from jkn import golden
+
+    monkeypatch.setitem(getattr(golden, table), key, row)
+    code, out = run(capsys, "selftest")
+    assert code == 1
+    line = f"MISMATCH: {label}" + (f": {detail}" if detail else "")
+    lines = [ln for ln in out.splitlines() if not ln.startswith("ok: ")]
+    assert lines == [line, "selftest failed (1 mismatches)"]
+    code, out = run(capsys, "selftest", "--format", "json")
+    assert code == 1
+    blob = json.loads(out)
+    assert blob["passed"] is False and len(blob["checks"]) == 71
+    assert [c for c in blob["checks"] if not c["ok"]] == [
+        {"label": label, "ok": False, "detail": detail}
+    ]
+
+
 def _plain_json(obj):
     """obj as json.loads returns it: tuples become lists."""
     return json.loads(json.dumps(obj))

@@ -117,7 +117,7 @@ def test_families_refuse_a_huge_degree_before_building_it():
 
 def test_family_refusals():
     for family, name in ((gamma, "gamma"), (delta_family, "delta_family")):
-        with pytest.raises(ContractError, match=f"^{name} requires d >= 2, got 1$"):
+        with pytest.raises(ContractError, match=f"^{name} requires degree >= 2, got 1$"):
             family(1, SystemParams(6, 15))
     with pytest.raises(
         ContractError, match=r"^gamma of degree 3 needs k >= 3 and n - k >= 5, got J\(3,7\)$"

@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
+import jkn
 from jkn import (
     ContractError,
     LatticeVector,
     NotInLatticeError,
     RootCoefficients,
+    Series,
     SystemParams,
     beta_vector,
     degree,
@@ -82,6 +84,88 @@ def test_direct_construction_normalises_entries():
 def test_vector_refuses_params_that_are_not_system_params():
     with pytest.raises(ContractError, match="^params must be a SystemParams, got tuple$"):
         LatticeVector((3, 8), (2, 1, 1, 1, 1, 1, 1, 1))
+
+
+_TUPLE, _P8 = (3, 8), SystemParams(3, 8)
+_NOT_PARAMS = "^params must be a SystemParams, got tuple$"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(call, message, id=name)
+        for name, call, message in [
+            ("enumerate_orbits", lambda: jkn.enumerate_orbits(_TUPLE, 2), _NOT_PARAMS),
+            ("count_real_roots", lambda: jkn.count_real_roots(_TUPLE, 0), _NOT_PARAMS),
+            (
+                "count_almost_real_roots",
+                lambda: jkn.count_almost_real_roots(_TUPLE, 4),
+                _NOT_PARAMS,
+            ),
+            (
+                "fundamental_weights",
+                lambda: jkn.fundamental_weights(_TUPLE),
+                _NOT_PARAMS,
+            ),
+            (
+                "sum_of_positive_roots",
+                lambda: jkn.sum_of_positive_roots(_TUPLE),
+                _NOT_PARAMS,
+            ),
+            (
+                "definiteness_margin",
+                lambda: jkn.definiteness_margin(_TUPLE),
+                _NOT_PARAMS,
+            ),
+            ("is_finite_type", lambda: jkn.is_finite_type(_TUPLE), _NOT_PARAMS),
+            ("gamma", lambda: jkn.gamma(2, _TUPLE), _NOT_PARAMS),
+            ("delta_family", lambda: jkn.delta_family(2, _TUPLE), _NOT_PARAMS),
+            (
+                "affine_family",
+                lambda: jkn.affine_family(Series.A1, 1, 1, _TUPLE),
+                _NOT_PARAMS,
+            ),
+            ("beta_vector", lambda: beta_vector(_TUPLE), _NOT_PARAMS),
+            ("simple_root", lambda: simple_root(_TUPLE, 1), _NOT_PARAMS),
+            (
+                "classify_entries",
+                lambda: jkn.classify_entries(_TUPLE, (2,) + (1,) * 7),
+                _NOT_PARAMS,
+            ),
+            (
+                "specialize",
+                lambda: jkn.enumerate_generic(1)[0].specialize(_TUPLE),
+                _NOT_PARAMS,
+            ),
+            (
+                "gamma-float-degree",
+                lambda: jkn.gamma(2.5, _P8),
+                "^gamma requires an integer degree$",
+            ),
+            (
+                "delta_family-float-degree",
+                lambda: jkn.delta_family(2.5, _P8),
+                "^delta_family requires an integer degree$",
+            ),
+            (
+                "simple_root-float-index",
+                lambda: simple_root(_P8, 1.0),
+                "^alpha indices must be integers$",
+            ),
+            (
+                "apply_s_i-float-index",
+                lambda: jkn.apply_s_i(1.0, beta_vector(_P8)),
+                "^reflection indices must be integers$",
+            ),
+        ]
+    ],
+)
+def test_entries_refuse_what_is_not_params_or_an_integer(call, message):
+    """Each entry refuses params that are not a SystemParams, and a float
+    degree or index, with ContractError rather than an AttributeError or
+    TypeError from inside."""
+    with pytest.raises(ContractError, match=message):
+        call()
 
 
 def test_beta_and_simple_roots():

@@ -25,7 +25,8 @@ degree; its :class:`ReductionStep` records and their vectors are built on
 each read of ``steps`` and not kept.  The records are declared with
 `lattice._record`, so they share `lattice._Record`'s comparison, hash and
 repr (the trace writes its own repr, of its steps), and each is stored
-once, in ``__init__``, through `lattice._slot_init`.
+once, through the store `lattice._record` compiles, which is its
+``__init__``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import ContractError
 from .lattice import LatticeVector, SystemParams, _admit, _record, _Record
-from .lattice import _trusted, _window
+from .lattice import _require_vector, _trusted, _window
 
 __all__ = [
     "Kind",
@@ -360,6 +361,7 @@ def reduce_trace(v: LatticeVector) -> ReductionTrace:
 
 def classify(v: LatticeVector) -> Classification:
     """Classify a lattice vector; see the module docstring for the cases."""
+    _require_vector(v)
     return _classified(v, *_signature(v.x))
 
 

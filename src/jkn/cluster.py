@@ -15,7 +15,7 @@ from operator import index
 
 from .errors import ContractError
 from .lattice import LatticeVector, SystemParams, _ints, _record, _Record
-from .lattice import _require_params, _slot_init, _window
+from .lattice import _require_params, _window
 
 __all__ = [
     "Profile",
@@ -50,7 +50,7 @@ class Profile(_Record):
                 raise ContractError(f"row {row} leaves the range 1..{n}")
             if any(row[i] >= row[i + 1] for i in range(k - 1)):
                 raise ContractError(f"row {row} is not strictly increasing")
-        _store_profile(self, params, rows)
+        self._store(params, rows)
 
     @property
     def rank(self) -> int:
@@ -63,9 +63,6 @@ class Profile(_Record):
 
     def as_json_dict(self) -> dict:
         return {"rows": [list(row) for row in self.rows]}
-
-
-_store_profile = _slot_init(Profile)
 
 
 def phi(p: Profile) -> LatticeVector:

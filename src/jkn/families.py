@@ -55,10 +55,10 @@ __all__ = [
 
 def dualize(v: LatticeVector) -> LatticeVector:
     """Send x of J(k,n) to (d-x_n,...,d-x_1) of J(n-k,n); preserves q."""
+    d = degree(v)
     params = v.params
     if params.k >= params.n:
         raise ContractError(f"dualize needs k < n, got {params}")
-    d = degree(v)
     flipped = tuple(d - c for c in reversed(v.x))
     return LatticeVector(SystemParams(params.n - params.k, params.n), flipped)
 
@@ -71,9 +71,10 @@ def extend(v: LatticeVector, grow_k: bool) -> LatticeVector:
     J(k+1, n+1).  Every named root and generic orbit is its minimal-support
     core carried into J(k,n) by these steps.
     """
+    d = degree(v)
     k, n = v.params.k, v.params.n
     params = SystemParams(k + 1 if grow_k else k, n + 1)
-    return LatticeVector(params, _extended("extend", v.x, k, degree(v), params))
+    return LatticeVector(params, _extended("extend", v.x, k, d, params))
 
 
 def minimal_support(v: LatticeVector) -> tuple[SystemParams, LatticeVector]:
@@ -260,24 +261,16 @@ class WeightVector(_Record):
 
     def plain_str(self) -> str:
         """Render like 1/3(-1,2,2,2,2,2): shared denominator up front."""
-        lcm = 1
-        for c in self.coords:
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+        lcm = math.lcm(*(c.denominator for c in self.coords))
         body = ",".join(str(c.numerator * (lcm // c.denominator)) for c in self.coords)
         prefix = "" if lcm == 1 else f"1/{lcm}"
         return f"{prefix}({body})"
 
     def as_json_dict(self) -> dict:
         return {
-            "coords": [_fraction_str(c) for c in self.coords],
-            "root_coeffs": [_fraction_str(c) for c in self.root_coeffs],
+            "coords": list(map(str, self.coords)),
+            "root_coeffs": list(map(str, self.root_coeffs)),
         }
-
-
-def _fraction_str(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
 
 
 def fundamental_weights(params: SystemParams) -> tuple[WeightVector, ...]:
@@ -424,6 +417,7 @@ class ManinVector(_Record):
 
 def to_manin(v: LatticeVector) -> ManinVector:
     """Degree-vector form; defined on J(3,8) elements only."""
+    d = degree(v)
     if v.params != SystemParams(3, 8):
         raise ContractError(f"to_manin is defined on J(3,8), got {v.params}")
-    return ManinVector(degree(v), v.x)
+    return ManinVector(d, v.x)

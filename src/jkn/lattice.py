@@ -21,7 +21,8 @@ an integer for every lattice element.  Everything in this module is exact
 integer arithmetic.  The contraction walk's window, degree d >= 1 and every
 entry in [0, d], is checked here once, by `_window`, for each caller; so
 are integer arguments, by `_ints` (a degree by `_admitted_degree`), and
-SystemParams arguments, by `_require_params`.
+SystemParams arguments, by `_require_params`, and LatticeVector arguments,
+by `_require_vector`.
 
 Every record of the package is declared with `_record` on the base
 `_Record`: a slots dataclass whose ``__repr__``, ``__eq__``, ``__hash__``,
@@ -30,8 +31,10 @@ in `_Record`, instead of compiled by `dataclasses` for each class at each
 import.  They behave as a frozen dataclass's do, and `dataclasses.fields`,
 `dataclasses.replace` and `dataclasses.is_dataclass` work as before; only
 ``__dataclass_params__`` tells them apart, reading ``eq``, ``frozen`` and
-``repr`` as False.  Each record is written once, in its ``__init__``,
-through the store `_slot_init` builds.
+``repr`` as False.  Each record is written through one store, which
+`_record` compiles and binds as ``_store``: it is the ``__init__`` of a
+record of proved values, and the last call of a checking ``__init__``, of
+`_trusted` and of unpickling.
 """
 
 from __future__ import annotations
@@ -61,11 +64,12 @@ class _Record:
     """The methods every record shares, read from its class's field names
     ``_names``: a frozen dataclass's ``__repr__``, ``__eq__``, ``__hash__``,
     ``__setattr__`` and ``__delattr__``, with the same results, and its
-    pickling state, the list of field values, stored back through
-    ``object.__setattr__`` as `dataclasses` does."""
+    pickling state, the list of field values, written back through the
+    class's ``_store``."""
 
     __slots__ = ()
     _names: tuple[str, ...]
+    _store: Callable[..., None]
 
     @recursive_repr()
     def __repr__(self) -> str:
@@ -93,47 +97,41 @@ class _Record:
         return list(self._values())
 
     def __setstate__(self, state: list) -> None:
-        for name, value in zip(self._names, state):
-            object.__setattr__(self, name, value)
+        self._store(*state)
 
 
 def _record(cls: type) -> type:
     """The `_Record` subclass ``cls`` as a slots dataclass of its annotated
     fields, for which `dataclasses` compiles no method; its field names are
-    bound as ``_names``, and a class body without an ``__init__`` gets the
-    `_slot_init` store as its ``__init__``."""
+    bound as ``_names`` and its store as ``_store``.
+
+    The store is the one place a record is written: an ``__init__`` that
+    takes the fields in order, with their defaults, and stores each through
+    its slot's member descriptor, unchecked.  The frozen ``__setattr__``
+    refuses the store, and going round it through ``object`` costs about
+    twice as much.  A class body without an ``__init__``, a record of proved
+    values, takes the store as its ``__init__``; a checking ``__init__``
+    ends by calling it, `_trusted` calls it without the checks, and
+    unpickling writes the state through it.  Like the ``__init__``
+    `dataclasses` writes, it is compiled from the field names alone; the
+    defaults are bound as objects."""
     own_init = "__init__" in cls.__dict__
     cls = dataclass(slots=True, init=False, repr=False, eq=False)(cls)
-    cls._names = tuple(f.name for f in fields(cls))
+    declared = fields(cls)
+    cls._names = names = tuple(f.name for f in declared)
+    namespace = {f"_set_{name}": cls.__dict__[name].__set__ for name in names}
+    stores = "".join(f"\n    _set_{name}(self, {name})" for name in names)
+    exec(f"def __init__(self, {', '.join(names)}):{stores}", namespace)
+    store = cls._store = namespace["__init__"]
+    defaults = tuple(f.default for f in declared if f.default is not MISSING)
+    store.__defaults__ = defaults or None
+    store.__qualname__ = f"{cls.__qualname__}.__init__"
+    store.__module__ = cls.__module__
+    store.__annotations__ = {name: cls.__annotations__[name] for name in names}
+    store.__annotations__["return"] = None
     if not own_init:
-        cls.__init__ = _slot_init(cls)
+        cls.__init__ = store
     return cls
-
-
-def _slot_init(cls: type) -> Callable[..., None]:
-    """The store that writes each record of the slots dataclass ``cls``,
-    once: an ``__init__`` that takes the fields in order, with their
-    defaults, and stores each through its slot's member descriptor,
-    unchecked.  The frozen ``__setattr__`` refuses the store, and going
-    round it through ``object`` costs about twice as much.  A record of
-    proved values takes it as its ``__init__``; a checking ``__init__`` ends
-    by calling it.  Like the ``__init__`` `dataclasses` writes, it is
-    compiled from the field names alone; the defaults are bound as objects."""
-    names, defaults, stores, namespace = [], [], [], {}
-    for f in fields(cls):
-        names.append(f.name)
-        if f.default is not MISSING:
-            defaults.append(f.default)
-        namespace[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
-        stores.append(f"\n    _set_{f.name}(self, {f.name})")
-    exec(f"def __init__(self, {', '.join(names)}):{''.join(stores)}", namespace)
-    init = namespace["__init__"]
-    init.__defaults__ = tuple(defaults) or None
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__module__ = cls.__module__
-    init.__annotations__ = {name: cls.__annotations__[name] for name in names}
-    init.__annotations__["return"] = None
-    return init
 
 
 @_record
@@ -159,7 +157,7 @@ class SystemParams(_Record):
             k, n = _ints("k and n", (k, n))
         if not 1 <= k <= n:
             raise ContractError(f"require 1 <= k <= n, got k={k}, n={n}")
-        _store_params(self, k, n)
+        self._store(k, n)
 
     def __str__(self) -> str:
         return f"J({self.k},{self.n})"
@@ -172,7 +170,7 @@ class LatticeVector(_Record):
     Construction checks that ``params`` is a SystemParams, turns the
     entries into a tuple of ints (bools and numpy integers pass, floats and
     strings do not), checks the length and lattice membership (k | sum of
-    entries), and stores the fields through the `_slot_init` store.
+    entries), and stores the fields through the `_record` store.
     `_trusted` calls the same store without the checks, for a vector the
     library has proved to lie in the lattice: a negation, the vectors of a
     trace's steps (built on each read), an orbit representative built from
@@ -189,7 +187,7 @@ class LatticeVector(_Record):
             raise NotInLatticeError(
                 f"coordinate sum {sum(x)} is not divisible by k={params.k}"
             )
-        _store_vector(self, params, x)
+        self._store(params, x)
 
     def __neg__(self) -> "LatticeVector":
         # the negation of a lattice vector is a lattice vector
@@ -233,7 +231,7 @@ class RootCoefficients(_Record):
             raise ContractError(
                 f"expected {params.n - 1} alpha coefficients, got {len(m)}"
             )
-        _store_coefficients(self, params, m_beta, m)
+        self._store(params, m_beta, m)
 
     def as_json_dict(self) -> dict:
         return {
@@ -244,25 +242,20 @@ class RootCoefficients(_Record):
         }
 
 
-# the stores behind the checked records' __init__; `_trusted` skips the checks
-_store_params = _slot_init(SystemParams)
-_store_vector = _slot_init(LatticeVector)
-_store_coefficients = _slot_init(RootCoefficients)
-
-
 def _trusted(
     params: SystemParams,
     x: tuple[int, ...],
     _new: Callable[[type], object] = object.__new__,
     _cls: type = LatticeVector,
-    _init: Callable[..., None] = _store_vector,
+    _store: Callable[..., None] = LatticeVector._store,
 ) -> LatticeVector:
     """A vector of ints the caller has proved to be in J(params)'s lattice;
-    nothing is checked, and the fields go straight into their slots.  The
-    class is bound here, at import: the benchmark's tracer rebinds the name
-    `LatticeVector` to a wrapper function."""
+    nothing is checked, and the fields go straight into their slots through
+    the class's `_record` store.  The class and its store are bound here, at
+    import: the benchmark's tracer rebinds the name `LatticeVector` to a
+    wrapper function."""
     v = _new(_cls)
-    _init(v, params, x)
+    _store(v, params, x)
     return v
 
 
@@ -278,13 +271,29 @@ def _require_params(params: object) -> None:
         )
 
 
+def _require_vector(v: object, _cls: type = LatticeVector) -> None:
+    """ContractError unless ``v`` is a LatticeVector.  Every entry that
+    takes one reaches it before reading a field: through `degree` (so `q`,
+    `to_root_basis`, the structural maps of `families` and `_window`, the
+    walk's window), through `_require_same_params`, or directly (`classify`,
+    each `weyl` entry); `classify_entries` builds its own vector and never
+    does.  The class is bound at import, as `_trusted` binds it."""
+    if not isinstance(v, _cls):
+        raise ContractError(
+            f"vector must be a LatticeVector, got {type(v).__name__}"
+        )
+
+
 def _require_same_params(u: LatticeVector, v: LatticeVector) -> None:
+    _require_vector(u)
+    _require_vector(v)
     if u.params != v.params:
         raise ContractError(f"mismatched system parameters {u.params} vs {v.params}")
 
 
 def degree(v: LatticeVector) -> int:
     """Coefficient of beta: (x_1 + ... + x_n) / k, always exact."""
+    _require_vector(v)
     return sum(v.x) // v.params.k
 
 
@@ -313,8 +322,8 @@ def to_root_basis(v: LatticeVector) -> RootCoefficients:
 
     and the coefficient of beta is d itself.
     """
-    k, x = v.params.k, v.x
     d = degree(v)
+    k, x = v.params.k, v.x
     m = []
     prefix = 0
     total = k * d

@@ -20,7 +20,8 @@ from operator import index
 from typing import Union
 
 from .errors import ContractError
-from .lattice import LatticeVector, _ints, _record, _Record, _slot_init
+from .lattice import LatticeVector, _ints, _record, _Record
+from .lattice import _require_vector, degree
 
 __all__ = [
     "S_BETA",
@@ -62,17 +63,15 @@ class WeylWord(_Record):
             if i != S_BETA and i < 1:
                 raise ContractError(f"bad word letter {ell!r}")
             admitted.append(i)
-        _store_word(self, tuple(admitted))
+        self._store(tuple(admitted))
 
     def __len__(self) -> int:
         return len(self.letters)
 
 
-_store_word = _slot_init(WeylWord)
-
-
 def apply_s_i(i: int, v: LatticeVector) -> LatticeVector:
     """Swap entries i and i+1 (1-indexed)."""
+    _require_vector(v)
     (i,) = _ints("reflection indices", (i,))
     if not 1 <= i <= v.params.n - 1:
         raise ContractError(
@@ -85,8 +84,8 @@ def apply_s_i(i: int, v: LatticeVector) -> LatticeVector:
 
 def apply_s_beta(v: LatticeVector) -> LatticeVector:
     """Add r = x_{k+1} + ... + x_n - 2 deg(x) to the first k entries."""
+    d = degree(v)
     k = v.params.k
-    d = sum(v.x) // k
     r = sum(v.x[k:]) - 2 * d
     return LatticeVector(
         v.params, tuple(c + r for c in v.x[:k]) + v.x[k:]
@@ -95,11 +94,13 @@ def apply_s_beta(v: LatticeVector) -> LatticeVector:
 
 def dec(v: LatticeVector) -> LatticeVector:
     """Entries sorted in non-increasing order."""
+    _require_vector(v)
     return LatticeVector(v.params, tuple(sorted(v.x, reverse=True)))
 
 
 def apply_word(w: WeylWord, v: LatticeVector) -> LatticeVector:
     """Apply the generators of ``w`` in sequence, first letter first."""
+    _require_vector(v)
     for ell in w.letters:
         if ell == S_BETA:
             v = apply_s_beta(v)

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: output text, formats, exit codes."""
 
+import doctest
 import json
 import os
 import re
@@ -15,6 +16,7 @@ import pytest
 
 import jkn.cli
 from jkn import (
+    Kind,
     OrbitKind,
     SystemParams,
     beta_vector,
@@ -45,6 +47,19 @@ def readme_transcripts():
         ):
             cases.append(pytest.param(shlex.split(command), output, id=command))
     return cases
+
+
+def test_readme_quick_start():
+    """The examples of README's pycon blocks pass as doctests.  Each block is
+    extracted first: doctest on the whole file reads a closing fence as
+    expected output."""
+    parser, runner = doctest.DocTestParser(), doctest.DocTestRunner()
+    blocks = re.findall(r"```pycon\n(.*?)```", README.read_text("utf-8"), re.S)
+    assert blocks
+    for i, block in enumerate(blocks):
+        runner.run(parser.get_doctest(block, {}, f"README pycon {i}", str(README), 0))
+    failed, attempted = runner.summarize(verbose=False)
+    assert attempted and not failed
 
 
 def run(capsys, *argv):
@@ -115,6 +130,36 @@ def test_check_names_each_end(capsys, case, negated):
     code_plain, out = run(capsys, "check", k, n, x)
     assert code_plain == code
     assert out.splitlines()[-1] == f"  terminal: {line}"
+
+
+# One input of each Kind, "k n x", and the exit code README documents for it:
+# 0 real (degree 0 included), 1 almost real, 2 anything else
+VERDICTS = {
+    Kind.REAL_POSITIVE: ("3 8 2,1,1,1,1,1,1,1", 0),
+    Kind.REAL_NEGATIVE: ("3 8 -2,-1,-1,-1,-1,-1,-1,-1", 0),
+    Kind.DEGREE_ZERO_REAL: ("3 8 1,-1,0,0,0,0,0,0", 0),
+    Kind.ALMOST_REAL_POSITIVE: ("4 10 3,3,3,1,1,1,1,1,1,1", 1),
+    Kind.ALMOST_REAL_NEGATIVE: ("4 10 -3,-3,-3,-1,-1,-1,-1,-1,-1,-1", 1),
+    Kind.NOT_REAL_Q: ("3 8 2,2,2,0,0,0,0,0", 2),
+    Kind.NOT_REAL_RANGE: ("3 8 3,0,0,0,0,0,0,0", 2),
+    Kind.NOT_IN_LATTICE: ("3 8 1,1,0,0,0,0,0,0", 2),
+    Kind.ZERO: ("3 8 0,0,0,0,0,0,0,0", 2),
+}
+
+
+def test_verdict_tables_cover_every_kind():
+    """Every Kind has a check message and a documented exit code, so a new
+    Kind cannot reach the CLI without both."""
+    assert set(jkn.cli._KIND_MESSAGES) == set(Kind) == set(VERDICTS)
+
+
+@pytest.mark.parametrize("kind", list(VERDICTS), ids=lambda kind: kind.value)
+def test_check_exit_code_of_each_kind(capsys, kind):
+    knx, code = VERDICTS[kind]
+    argv = ["check", *knx.split()]
+    assert main([*argv, "--format", "json"]) == code
+    assert json.loads(capsys.readouterr().out)["kind"] == kind.value
+    assert run(capsys, *argv)[0] == code
 
 
 def test_check_not_in_lattice(capsys):

@@ -627,10 +627,17 @@ def test_to_manin_root_rows():
 
 
 def test_to_manin_square_is_minus_two_on_roots():
+    """a^2 - sum b_i^2 is -q(x): -2 on the roots, and -8 on the non-root
+    (2,2,2,0,0,0,0,0), whose q is 8."""
     p = SystemParams(3, 8)
-    for entries in [(1, 1, 1, 0, 0, 0, 0, 0), (2, 1, 1, 1, 1, 1, 1, 1)]:
-        mv = to_manin(LatticeVector(p, entries))
-        assert mv.a ** 2 - sum(c * c for c in mv.b) == -2
+    for entries, square in [
+        ((1, 1, 1, 0, 0, 0, 0, 0), -2),
+        ((2, 1, 1, 1, 1, 1, 1, 1), -2),
+        ((2, 2, 2, 0, 0, 0, 0, 0), -8),
+    ]:
+        v = LatticeVector(p, entries)
+        mv = to_manin(v)
+        assert mv.a ** 2 - sum(c * c for c in mv.b) == square == -q(v)
 
 
 def test_to_manin_rejects_other_systems():

@@ -88,6 +88,7 @@ def test_vector_refuses_params_that_are_not_system_params():
 
 _TUPLE, _P8 = (3, 8), SystemParams(3, 8)
 _NOT_PARAMS = "^params must be a SystemParams, got tuple$"
+_NOT_VECTOR = "^vector must be a LatticeVector, got tuple$"
 
 
 @pytest.mark.parametrize(
@@ -166,6 +167,43 @@ def test_entries_refuse_what_is_not_params_or_an_integer(call, message):
     TypeError from inside."""
     with pytest.raises(ContractError, match=message):
         call()
+
+
+_E8_ENTRIES = (2, 1, 1, 1, 1, 1, 1, 1)
+_E8_ROOT = LatticeVector(_P8, _E8_ENTRIES)
+
+# Each entry that takes a LatticeVector, called with its entries as a tuple
+_VECTOR_ENTRIES = {
+    "classify": jkn.classify,
+    "degree": degree,
+    "q": q,
+    "inner": lambda x: inner(_E8_ROOT, x),
+    "inner-first": lambda x: inner(x, _E8_ROOT),
+    "to_root_basis": to_root_basis,
+    "minimal_support": jkn.minimal_support,
+    "reduce_trace": jkn.reduce_trace,
+    "canonical_profile": jkn.canonical_profile,
+    "dualize": jkn.dualize,
+    "extend": lambda x: jkn.extend(x, True),
+    "to_manin": jkn.to_manin,
+    "apply_s_i": lambda x: jkn.apply_s_i(1, x),
+    "apply_s_beta": jkn.apply_s_beta,
+    "dec": jkn.dec,
+    "apply_word": lambda x: jkn.apply_word(jkn.parse_word("b,1"), x),
+    "apply_word-empty": lambda x: jkn.apply_word(jkn.parse_word(""), x),
+}
+
+
+@pytest.mark.parametrize(
+    "call", list(_VECTOR_ENTRIES.values()), ids=list(_VECTOR_ENTRIES)
+)
+def test_entries_refuse_what_is_not_a_vector(call):
+    """Each entry refuses a tuple of entries where it takes a LatticeVector
+    with ContractError, rather than an AttributeError from inside or, for
+    the empty word, the tuple given back; the vector itself passes."""
+    with pytest.raises(ContractError, match=_NOT_VECTOR):
+        call(_E8_ENTRIES)
+    call(_E8_ROOT)
 
 
 def test_beta_and_simple_roots():

@@ -1,26 +1,27 @@
 """Vectors the library builds without re-running the constructor's checks.
 
-A negation, the steps of a contraction walk, an orbit representative and
-the entries `classify_entries` has checked are built with `lattice._trusted`.
+A negation, the steps of a contraction walk, an orbit representative and the
+entries `classify_entries` has checked are built with `lattice._trusted`.
 Each is rebuilt here through the public constructor, which must accept it
 and give back an equal vector of ints, and `_trusted` must keep working when
-the name `LatticeVector` is rebound to a wrapper function, as the benchmark's
-tracer does.  Every public record is written once, in its `__init__`,
-through the store `lattice._slot_init` generates.  The walk's
-`ReductionStep` records, the `ReductionTrace` and `Classification` that
-`classify` returns, the `OrbitClass` and `GenericOrbit` records of the orbit
-search, `WeightVector` and `ManinVector` take that store as their
-`__init__`; `SystemParams`, `LatticeVector`, `RootCoefficients`, `WeylWord`
-and `Profile` check their arguments first and then call it.  Each record
-the library returns must equal the one built from freshly checked vectors,
-and each of the twelve must stay a dataclass that behaves as a frozen one,
-whose `__init__` keeps to its fields and their defaults and reads like a
-method written in the class.  Their `__repr__`, `__eq__`, `__hash__` and
-frozen setters are written once, in the base `lattice._Record`, and no
-record compiles its own.  A trace's steps are built on each read and not
-kept.  The two zero-step traces, of a range break before any step and of a
-q violation, are shared by every result of their kind and must behave as
-records of their own.
+the name `LatticeVector` is rebound to a wrapper function, as the
+benchmark's tracer does; so must the check that refuses what is not a
+vector.  Every public record is written through one store, which
+`lattice._record` compiles and binds as the class's `_store`; `_trusted` and
+unpickling write through it too.  The walk's `ReductionStep` records, the
+`ReductionTrace` and `Classification` that `classify` returns, the
+`OrbitClass` and `GenericOrbit` records of the orbit search, `WeightVector`
+and `ManinVector` take that store as their `__init__`; `SystemParams`,
+`LatticeVector`, `RootCoefficients`, `WeylWord` and `Profile` check their
+arguments first and then call it.  Each record the library returns must
+equal the one built from freshly checked vectors, and each of the twelve
+must stay a dataclass that behaves as a frozen one, whose `__init__` keeps
+to its fields and their defaults and reads like a method written in the
+class.  Their `__repr__`, `__eq__`, `__hash__` and frozen setters are
+written once, in the base `lattice._Record`, and no record compiles its own.
+A trace's steps are built on each read and not kept.  The two zero-step
+traces, of a range break before any step and of a q violation, are shared by
+every result of their kind and must behave as records of their own.
 """
 
 import copy
@@ -28,11 +29,13 @@ import dataclasses
 import importlib
 import inspect
 import pickle
+from pathlib import Path
 
 import pytest
 
 from jkn import (
     Classification,
+    ContractError,
     GenericOrbit,
     LatticeVector,
     ManinVector,
@@ -60,9 +63,11 @@ from jkn import (
     to_root_basis,
 )
 from jkn.classify import _walk
+from jkn.lattice import _trusted
 
 from conftest import entries_walk
 
+GOLDEN = Path(__file__).parent / "golden"
 DEEP = (gamma(300, SystemParams(3, 602)), delta_family(300, SystemParams(301, 602)))
 
 
@@ -213,6 +218,10 @@ def test_unchecked_vectors_survive_a_rebound_class_name(monkeypatch):
     results = _unchecked_results()
     assert results == expected
     assert type(results[0][0].representative) is type(results[4]) is LatticeVector
+    # the checked entries bind the class too: a vector passes, a tuple is refused
+    assert degree(results[4]) == -3
+    with pytest.raises(ContractError, match="must be a LatticeVector, got tuple"):
+        degree(results[4].x)
 
 
 def test_walk_names_the_whole_nonpositive_end():
@@ -305,6 +314,54 @@ def test_record_init_keeps_to_its_fields(cls):
         cls(*values, values[0])
     with pytest.raises(TypeError):
         cls(*values, no_such_field=values[0])
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
+def test_one_store_per_record(cls, monkeypatch):
+    """Each record has one store, compiled by `_record`: the __init__ of a
+    record of proved values, called last by a checking __init__, and the
+    writer of unpickled state.  `_trusted` calls LatticeVector's."""
+    store = cls.__dict__["_store"]
+    assert store.__code__.co_filename == "<string>"  # compiled, not written
+    if cls in CHECKED:
+        assert "_store" in cls.__init__.__code__.co_names
+    else:
+        assert cls.__init__ is store
+    record, stored = RECORDS[cls](), []
+
+    def spy(self, *values):
+        stored.append(values)
+        store(self, *values)
+
+    monkeypatch.setattr(cls, "_store", spy)
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert stored[-1] == tuple(record.__getstate__())
+    if cls is LatticeVector:
+        assert _trusted.__defaults__[-1] is store
+
+
+def test_records_pickled_by_an_earlier_version_load():
+    """The pickle state is the list of field values, and unpickling writes it
+    through each class's store: records pickled before the store was bound
+    on the class load equal to the ones built now."""
+    e8 = E8_ROOT
+    records = [
+        SystemParams(3, 8),
+        e8,
+        to_root_basis(e8),
+        parse_word("b,3,b,1"),
+        canonical_profile(e8),
+        reduce_trace(e8),
+        reduce_trace(e8).steps[0],
+        classify(-e8),
+        enumerate_orbits(SystemParams(3, 9), 3)[0],
+        enumerate_generic(4)[0],
+        fundamental_weights(SystemParams(3, 8))[2],
+        to_manin(e8),
+    ]
+    loaded = pickle.loads((GOLDEN / "records.pickle").read_bytes())
+    assert loaded == records
+    assert [repr(r) for r in loaded] == [repr(r) for r in records]
 
 
 # ReductionTrace writes its steps, not its fields, in its own __repr__

@@ -40,6 +40,7 @@ from .enumeration import (
     OrbitClass,
     OrbitKind,
     _census,
+    _roots,
     count_almost_real_roots,
     count_real_roots,
     enumerate_generic,
@@ -364,7 +365,8 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     ):
         for (k, n), expected in sorted(table.items()):
             params = SystemParams(k, n)
-            got = tuple(census(params, d)[kind][0] for d in range(1, len(expected) + 1))
+            degrees = range(1, len(expected) + 1)
+            got = tuple(_roots(params, census(params, d)[kind]) for d in degrees)
             report(f"{label} {params}", got == expected, f"{got} != {expected}")
     # (k, None) and (None, None) rows hold generic counts, the others concrete
     for (k, n), expected in sorted(golden.ORBIT_COUNTS.items(), key=str):
@@ -376,7 +378,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
                 if n is None:
                     row.append(sum(1 for c in classes if c.kind is kind))
                 else:
-                    row.append(census(SystemParams(k, n), d)[kind][1])
+                    row.append(len(census(SystemParams(k, n), d)[kind]))
         if n is None:
             label = f"generic orbit counts (k={'any' if k is None else k})"
         else:

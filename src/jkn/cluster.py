@@ -15,7 +15,7 @@ from operator import index
 
 from .errors import ContractError
 from .lattice import LatticeVector, SystemParams, _ints, _record, _Record
-from .lattice import _require_params, _window
+from .lattice import _require, _require_params, _window
 
 __all__ = [
     "Profile",
@@ -65,8 +65,13 @@ class Profile(_Record):
         return {"rows": [list(row) for row in self.rows]}
 
 
+# `is_canonical` reaches it through `is_weakly_column_decreasing`
+_require_profile = _require(Profile, "profile")
+
+
 def phi(p: Profile) -> LatticeVector:
     """Occurrence counts: x_i = how often i appears across the rows."""
+    _require_profile(p)
     counts = [0] * p.params.n
     for row in p.rows:
         for e in row:
@@ -97,6 +102,7 @@ def canonical_profile(v: LatticeVector) -> Profile:
 
 def is_weakly_column_decreasing(p: Profile) -> bool:
     """Each column never increases from one row to the next."""
+    _require_profile(p)
     return all(
         p.rows[i][j] >= p.rows[i + 1][j]
         for i in range(len(p.rows) - 1)
@@ -118,6 +124,7 @@ def is_canonical(p: Profile) -> bool:
 
 def cyclic_permutations(p: Profile) -> list[Profile]:
     """All row rotations, the original first."""
+    _require_profile(p)
     return [
         Profile(p.params, p.rows[r:] + p.rows[:r]) for r in range(len(p.rows))
     ]

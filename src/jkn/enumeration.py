@@ -22,10 +22,10 @@ Every reader of orbits goes through one entry, `_walked`: it runs the
 search once with the target square sum 2 + (k-2)*d^2, walks each signature
 as it is with a memo that lives for that call, and hands a leaf the
 signature, the representative's entries (which the search carries down
-next to it) and the orbit's kind, one call per orbit, so no list of
-signatures is ever held.  `enumerate_orbits` and `enumerate_generic` are
-leaves that build records; `_census` counts each kind's roots and orbits
-and builds none.
+next to it) and the orbit's kind, one call per orbit, so the search holds
+no list of signatures.  `enumerate_orbits` and `enumerate_generic` are
+leaves that build records; `_census` lists each kind's signatures and
+builds none, and `_roots` sums the orbit sizes of the one kind asked for.
 
 Every orbit of degree d, over all (k, n) at once, is captured by a finite
 list of generic orbits: stripped to minimal support, a representative is a
@@ -278,27 +278,35 @@ def count_real_roots(params: SystemParams, degree: int) -> int:
     d = _admitted_degree("count_real_roots", degree, 0)
     if d == 0:
         return params.n * (params.n - 1) // 2
-    return _census(params, d)[_REAL][0]
+    return _roots(params, _census(params, d)[_REAL])
 
 
 def count_almost_real_roots(params: SystemParams, degree: int) -> int:
     """Number of positive almost-real roots of the given degree."""
     _require_params(params)
     d = _admitted_degree("count_almost_real_roots", degree)
-    return _census(params, d)[_ALMOST_REAL][0]
+    return _roots(params, _census(params, d)[_ALMOST_REAL])
 
 
-def _census(params: SystemParams, d: int) -> dict[OrbitKind, tuple[int, int]]:
-    """{kind: (roots, orbits)} of degree d: a leaf on `_walked` that builds
-    no record adds up each kind's orbit sizes n! / prod(m_v!) and counts them."""
-    n_factorial = math.factorial(params.n)
-    sizes: dict[OrbitKind, list[int]] = {_REAL: [], _ALMOST_REAL: []}
+def _census(params: SystemParams, d: int) -> dict[OrbitKind, list[tuple]]:
+    """{kind: signatures} of the degree-d orbits, each kind's in the order
+    the search reaches them: a leaf on `_walked` that builds no record and
+    computes no orbit size.  A kind's orbit count is its list's length, its
+    root count `_roots` of the list."""
+    sigs: dict[OrbitKind, list[tuple]] = {_REAL: [], _ALMOST_REAL: []}
 
     def leaf(sig: tuple, x: tuple, kind: OrbitKind) -> None:
-        sizes[kind].append(n_factorial // _prod(map(_factorial, map(_counts, sig))))
+        sigs[kind].append(sig)
 
     _walked(params.k, params.n, d, leaf)
-    return {kind: (sum(got), len(got)) for kind, got in sizes.items()}
+    return sigs
+
+
+def _roots(params: SystemParams, sigs: list[tuple]) -> int:
+    """The roots in the orbits of J(params) with signatures ``sigs``: their
+    sizes n! / prod(m_v!) summed, with n! taken once."""
+    n_factorial = math.factorial(params.n)
+    return sum(n_factorial // _prod(map(_factorial, map(_counts, sig))) for sig in sigs)
 
 
 def enumerate_generic(degree: int) -> tuple[GenericOrbit, ...]:

@@ -20,26 +20,31 @@ quadratic form is
 an integer for every lattice element.  Everything in this module is exact
 integer arithmetic.  The contraction walk's window, degree d >= 1 and every
 entry in [0, d], is checked here once, by `_window`, for each caller; so
-are integer arguments, by `_ints` (a degree by `_admitted_degree`), and
-SystemParams arguments, by `_require_params`, and LatticeVector arguments,
-by `_require_vector`.
+are integer arguments, by `_ints` (a degree by `_admitted_degree`), and the
+type of a record argument, by a check `_require` makes for its class:
+`_require_params`, `_require_vector` and `_require_coefficients` here,
+`_require_word` in `weyl` and `_require_profile` in `cluster`.
 
 Every record of the package is declared with `_record` on the base
-`_Record`: a slots dataclass whose ``__repr__``, ``__eq__``, ``__hash__``,
-frozen ``__setattr__``/``__delattr__`` and pickling state are written once,
-in `_Record`, instead of compiled by `dataclasses` for each class at each
-import.  They behave as a frozen dataclass's do, and `dataclasses.fields`,
-`dataclasses.replace` and `dataclasses.is_dataclass` work as before; only
-``__dataclass_params__`` tells them apart, reading ``eq``, ``frozen`` and
-``repr`` as False.  Each record is written through one store, which
-`_record` compiles and binds as ``_store``: it is the ``__init__`` of a
-record of proved values, and the last call of a checking ``__init__``, of
-`_trusted` and of unpickling.
+`_Record`.  `_record` rebuilds the class body as a slots class of its
+annotated fields, as `dataclasses` rebuilds a slots dataclass, without
+importing `dataclasses`; the record's ``__repr__``, ``__eq__``,
+``__hash__``, frozen ``__setattr__``/``__delattr__``, ``__replace__`` and
+pickling state are written once, in `_Record`.  They behave as a frozen
+dataclass's do.  The record reads as a dataclass to `dataclasses.fields`,
+`replace`, `asdict`, `is_dataclass` and `copy.replace` through its
+``__dataclass_fields__`` and ``__dataclass_params__``, which import
+`dataclasses` and are filled in on first read: the params are those of
+``dataclass(slots=True, init=False, repr=False, eq=False)``, so ``eq``,
+``frozen`` and ``repr`` read False.  So `import jkn` loads neither
+`dataclasses` nor the `inspect` it imports.  Each record is written
+through one store, which `_record` compiles and binds as ``_store``: it is
+the ``__init__`` of a record of proved values, and the last call of a
+checking ``__init__``, of `_trusted` and of unpickling.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from operator import index, neg
 from reprlib import recursive_repr
 from typing import Callable, Iterable, Sequence
@@ -63,9 +68,10 @@ __all__ = [
 class _Record:
     """The methods every record shares, read from its class's field names
     ``_names``: a frozen dataclass's ``__repr__``, ``__eq__``, ``__hash__``,
-    ``__setattr__`` and ``__delattr__``, with the same results, and its
-    pickling state, the list of field values, written back through the
-    class's ``_store``."""
+    ``__setattr__``, ``__delattr__`` and ``__replace__``, with the same
+    results, and its pickling state, the list of field values, written back
+    through the class's ``_store``.  `dataclasses` is imported only where it
+    is needed: to raise ``FrozenInstanceError`` and to replace fields."""
 
     __slots__ = ()
     _names: tuple[str, ...]
@@ -88,10 +94,19 @@ class _Record:
         return hash(self._values())
 
     def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __replace__(self, /, **changes: object) -> "_Record":
+        from dataclasses import replace
+
+        return replace(self, **changes)
 
     def __getstate__(self) -> list:
         return list(self._values())
@@ -100,10 +115,47 @@ class _Record:
         self._store(*state)
 
 
+class _DataclassAttribute:
+    """A record's ``__dataclass_fields__`` or ``__dataclass_params__``, the
+    two attributes through which `dataclasses` knows a dataclass.  On the
+    first read of either, `dataclasses` is imported and turns a twin of the
+    record, a class of its fields and defaults alone, into a dataclass with
+    ``dataclass(slots=True, init=False, repr=False, eq=False)``; both
+    attributes are copied from the twin onto the record, in place of these
+    descriptors, and every later read is a plain class attribute."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self._owner, self._name = owner, name
+
+    def __get__(self, record: object, cls: type) -> object:
+        from dataclasses import dataclass
+
+        owner, names = self._owner, self._owner._names
+        defaults = owner._store.__defaults__ or ()
+        twin = {
+            "__module__": owner.__module__,
+            "__qualname__": owner.__qualname__,
+            "__doc__": owner.__doc__,
+            "__annotations__": owner.__dict__["__annotations__"],
+            **dict(zip(names[len(names) - len(defaults) :], defaults)),
+        }
+        twin = dataclass(slots=True, init=False, repr=False, eq=False)(
+            type(owner.__name__, (), twin)
+        )
+        for name in ("__dataclass_fields__", "__dataclass_params__"):
+            setattr(owner, name, twin.__dict__[name])
+        return twin.__dict__[self._name]
+
+
 def _record(cls: type) -> type:
-    """The `_Record` subclass ``cls`` as a slots dataclass of its annotated
-    fields, for which `dataclasses` compiles no method; its field names are
-    bound as ``_names`` and its store as ``_store``.
+    """The `_Record` subclass ``cls`` rebuilt as a slots class of its
+    annotated fields, in order, as `dataclasses` rebuilds a slots
+    dataclass: ``__slots__`` and ``__match_args__`` are the field names,
+    which are also bound as ``_names``, and a field's default leaves the
+    class for the store's defaults.  The class reads as a dataclass to
+    `dataclasses.fields`, `replace`, `asdict` and `is_dataclass` through
+    its two `_DataclassAttribute`s, which import `dataclasses` on first
+    read; until then it is not imported.
 
     The store is the one place a record is written: an ``__init__`` that
     takes the fields in order, with their defaults, and stores each through
@@ -115,19 +167,29 @@ def _record(cls: type) -> type:
     unpickling writes the state through it.  Like the ``__init__``
     `dataclasses` writes, it is compiled from the field names alone; the
     defaults are bound as objects."""
-    own_init = "__init__" in cls.__dict__
-    cls = dataclass(slots=True, init=False, repr=False, eq=False)(cls)
-    declared = fields(cls)
-    cls._names = names = tuple(f.name for f in declared)
+    body = dict(cls.__dict__)
+    annotations = body["__annotations__"]
+    names = tuple(annotations)
+    has_default = [name in body for name in names]
+    if has_default != sorted(has_default):
+        raise TypeError(f"{cls.__name__}: a field without a default follows one with")
+    defaults = tuple(body.pop(name) for name in names if name in body)
+    body.pop("__dict__", None)
+    body.pop("__weakref__", None)
+    body["__slots__"] = body["__match_args__"] = body["_names"] = names
+    body["__qualname__"] = cls.__qualname__
+    body["__dataclass_fields__"] = _DataclassAttribute()
+    body["__dataclass_params__"] = _DataclassAttribute()
+    own_init = "__init__" in body
+    cls = type(cls)(cls.__name__, cls.__bases__, body)
     namespace = {f"_set_{name}": cls.__dict__[name].__set__ for name in names}
     stores = "".join(f"\n    _set_{name}(self, {name})" for name in names)
     exec(f"def __init__(self, {', '.join(names)}):{stores}", namespace)
     store = cls._store = namespace["__init__"]
-    defaults = tuple(f.default for f in declared if f.default is not MISSING)
     store.__defaults__ = defaults or None
     store.__qualname__ = f"{cls.__qualname__}.__init__"
     store.__module__ = cls.__module__
-    store.__annotations__ = {name: cls.__annotations__[name] for name in names}
+    store.__annotations__ = {name: annotations[name] for name in names}
     store.__annotations__["return"] = None
     if not own_init:
         cls.__init__ = store
@@ -259,29 +321,33 @@ def _trusted(
     return v
 
 
-def _require_params(params: object) -> None:
-    """ContractError unless ``params`` is a SystemParams.  Every entry that
-    takes one reaches it before reading k or n: the checked records and
-    `classify_entries` through `_admit`, `affine_family`, `beta_vector` and
-    generic orbits through `_extended`, the finite-type functions through
-    `families.definiteness_margin`, and the rest directly."""
-    if not isinstance(params, SystemParams):
-        raise ContractError(
-            f"params must be a SystemParams, got {type(params).__name__}"
-        )
+def _require(cls: type, what: str) -> Callable[[object], None]:
+    """A check that raises ContractError "{what} must be a {cls}" unless its
+    argument is a ``cls``.  The class is bound here, at import, as
+    `_trusted` binds it."""
+
+    def require(value: object) -> None:
+        if not isinstance(value, cls):
+            raise ContractError(
+                f"{what} must be a {cls.__name__}, got {type(value).__name__}"
+            )
+
+    return require
 
 
-def _require_vector(v: object, _cls: type = LatticeVector) -> None:
-    """ContractError unless ``v`` is a LatticeVector.  Every entry that
-    takes one reaches it before reading a field: through `degree` (so `q`,
-    `to_root_basis`, the structural maps of `families` and `_window`, the
-    walk's window), through `_require_same_params`, or directly (`classify`,
-    each `weyl` entry); `classify_entries` builds its own vector and never
-    does.  The class is bound at import, as `_trusted` binds it."""
-    if not isinstance(v, _cls):
-        raise ContractError(
-            f"vector must be a LatticeVector, got {type(v).__name__}"
-        )
+# Every entry that takes a SystemParams reaches this check before reading k
+# or n: the checked records and `classify_entries` through `_admit`,
+# `affine_family`, `beta_vector` and generic orbits through `_extended`, the
+# finite-type functions through `families.definiteness_margin`, and the rest
+# directly.
+_require_params = _require(SystemParams, "params")
+# Every entry that takes a LatticeVector reaches this check before reading a
+# field: through `degree` (so `q`, `to_root_basis`, the structural maps of
+# `families` and `_window`, the walk's window), through
+# `_require_same_params`, or directly (`classify`, each `weyl` entry);
+# `classify_entries` builds its own vector and never does.
+_require_vector = _require(LatticeVector, "vector")
+_require_coefficients = _require(RootCoefficients, "root coefficients")
 
 
 def _require_same_params(u: LatticeVector, v: LatticeVector) -> None:
@@ -387,6 +453,7 @@ def from_root_basis(c: RootCoefficients) -> LatticeVector:
     x_i picks up m_beta on the first k coordinates and the telescoping
     difference m_{i-1} - m_i from the chain of alphas.
     """
+    _require_coefficients(c)
     k, n = c.params.k, c.params.n
     x = []
     for i in range(1, n + 1):

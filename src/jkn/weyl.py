@@ -20,7 +20,7 @@ from operator import index
 from typing import Union
 
 from .errors import ContractError
-from .lattice import LatticeVector, _ints, _record, _Record
+from .lattice import LatticeVector, _ints, _record, _Record, _require
 from .lattice import _require_vector, degree
 
 __all__ = [
@@ -69,6 +69,9 @@ class WeylWord(_Record):
         return len(self.letters)
 
 
+_require_word = _require(WeylWord, "word")
+
+
 def apply_s_i(i: int, v: LatticeVector) -> LatticeVector:
     """Swap entries i and i+1 (1-indexed)."""
     _require_vector(v)
@@ -100,6 +103,7 @@ def dec(v: LatticeVector) -> LatticeVector:
 
 def apply_word(w: WeylWord, v: LatticeVector) -> LatticeVector:
     """Apply the generators of ``w`` in sequence, first letter first."""
+    _require_word(w)
     _require_vector(v)
     for ell in w.letters:
         if ell == S_BETA:
@@ -125,4 +129,5 @@ def parse_word(text: str) -> WeylWord:
 
 
 def format_word(w: WeylWord) -> str:
+    _require_word(w)
     return ",".join(str(ell) for ell in w.letters)

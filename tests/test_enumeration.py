@@ -31,7 +31,7 @@ from jkn import (
     q,
 )
 from jkn import enumeration
-from jkn.enumeration import _census, _search
+from jkn.enumeration import _census, _roots, _search
 from jkn.lattice import _extended, _stripped
 from jkn.golden import (
     ALMOST_COUNTS,
@@ -96,10 +96,10 @@ def test_counts_match_reference_rows():
 
 def test_census_cross_check():
     """Orbit sizes partition the candidate counts: the counting leaf
-    `_census`, which builds no record, adds up the sizes the records hold
-    and counts the orbits of each kind.  J(3,80) and J(5,70) have
-    closed-form tails of 64 or more entries, which the search builds inline
-    rather than from its shared pieces."""
+    `_census`, which builds no record, lists the signatures the records of
+    each kind hold, and `_roots` adds up the sizes they hold.  J(3,80) and
+    J(5,70) have closed-form tails of 64 or more entries, which the search
+    builds inline rather than from its shared pieces."""
     for k, n, d in [
         (3, 9, 4), (4, 10, 4), (5, 11, 3), (3, 12, 5), (3, 80, 6), (5, 70, 7), (7, 20, 11)
     ]:
@@ -107,10 +107,11 @@ def test_census_cross_check():
         orbits = enumerate_orbits(p, d)
         census = _census(p, d)
         for kind in OrbitKind:
-            sizes = [oc.orbit_size for oc in orbits if oc.kind is kind]
-            assert census[kind] == (sum(sizes), len(sizes)), (k, n, d, kind)
-        assert census[OrbitKind.REAL][0] == count_real_roots(p, d)
-        assert census[OrbitKind.ALMOST_REAL][0] == count_almost_real_roots(p, d)
+            of_kind = [oc for oc in orbits if oc.kind is kind]
+            assert census[kind] == [oc.multiset_signature for oc in of_kind], (k, n, d)
+            assert _roots(p, census[kind]) == sum(oc.orbit_size for oc in of_kind)
+        assert _roots(p, census[OrbitKind.REAL]) == count_real_roots(p, d)
+        assert _roots(p, census[OrbitKind.ALMOST_REAL]) == count_almost_real_roots(p, d)
 
 
 @pytest.mark.parametrize("k,n", [(3, 10), (3, 11), (4, 11), (2, 9), (3, 12)])

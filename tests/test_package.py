@@ -1,6 +1,9 @@
-"""The package's public names."""
+"""The package's public names, and the modules its import loads."""
 
 import importlib
+import subprocess
+import sys
+from pathlib import Path
 
 import jkn
 
@@ -24,3 +27,24 @@ def test_public_names_agree():
         assert getattr(jkn, name) is getattr(errors, name), name
     assert len(set(jkn.__all__)) == len(jkn.__all__)
     assert set(jkn.__all__) == names
+
+
+# Modules `dataclasses` pulls in, which `import jkn` leaves unloaded
+NOT_LOADED = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_import_loads_no_dataclasses():
+    """A fresh interpreter without `site` imports `jkn` and `jkn.cli`
+    without loading `dataclasses` or what it imports; the records read as
+    dataclasses once `dataclasses` is imported by the caller."""
+    src = Path(jkn.__file__).resolve().parent.parent
+    script = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import jkn, jkn.cli; "
+        f"print(sorted(set({NOT_LOADED!r}) & set(sys.modules))); "
+        "import dataclasses; "
+        "print([f.name for f in dataclasses.fields(jkn.LatticeVector)])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.splitlines() == ["[]", "['params', 'x']"]

@@ -29,6 +29,7 @@ import dataclasses
 import importlib
 import inspect
 import pickle
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,22 +49,29 @@ from jkn import (
     TerminalKind,
     WeightVector,
     WeylWord,
+    apply_word,
     canonical_profile,
     classify,
     classify_entries,
+    cyclic_permutations,
     degree,
     delta_family,
     enumerate_generic,
     enumerate_orbits,
+    format_word,
+    from_root_basis,
     fundamental_weights,
     gamma,
+    is_canonical,
+    is_weakly_column_decreasing,
     parse_word,
+    phi,
     reduce_trace,
     to_manin,
     to_root_basis,
 )
 from jkn.classify import _walk
-from jkn.lattice import _trusted
+from jkn.lattice import _Record, _trusted
 
 from conftest import entries_walk
 
@@ -436,3 +444,116 @@ def test_zero_step_traces_are_shared_records(entries, label):
     ):
         assert other == first and hash(other) == hash(first)
         assert repr(other) == repr(first)
+
+
+def _twin_params():
+    """The ``__dataclass_params__`` that the call a record's twin takes gives
+    on the running Python."""
+
+    @dataclasses.dataclass(slots=True, init=False, repr=False, eq=False)
+    class Twin:
+        field: int
+
+    return Twin.__dataclass_params__
+
+
+def _as_dict(value):
+    """What `dataclasses.asdict` gives for a record, written out: its fields
+    by name, records within it as dicts, tuples rebuilt."""
+    if isinstance(value, _Record):
+        return {name: _as_dict(getattr(value, name)) for name in value._names}
+    if isinstance(value, tuple):
+        return tuple(map(_as_dict, value))
+    return value
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
+def test_records_read_as_dataclasses(cls):
+    """`_record` builds each slots class itself, and `dataclasses` still
+    reads it as the dataclass `dataclass(slots=True, init=False, repr=False,
+    eq=False)` made of it: the fields are the annotated names, in order;
+    `fields`, `replace`, `asdict` and `is_dataclass` work on the class and
+    on a record; the params carry every flag of that call on this Python;
+    setting and deleting a field raise `FrozenInstanceError`; a class
+    pattern matches the fields in order; and a record pickles.  The shared
+    base is no dataclass."""
+    record = RECORDS[cls]()
+    names = tuple(cls.__dict__["__annotations__"])
+    assert cls.__slots__ == cls.__match_args__ == names
+    assert dataclasses.is_dataclass(cls) and dataclasses.is_dataclass(record)
+    assert not dataclasses.is_dataclass(_Record)
+    assert tuple(f.name for f in dataclasses.fields(cls)) == names
+    assert tuple(f.name for f in dataclasses.fields(record)) == names
+    expected, params = _twin_params(), cls.__dataclass_params__
+    flags = type(expected).__slots__
+    assert [getattr(params, flag) for flag in flags] == [
+        getattr(expected, flag) for flag in flags
+    ]
+    assert dataclasses.replace(record) == record
+    assert dataclasses.asdict(record) == _as_dict(record)
+    first = getattr(record, names[0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, names[0], first)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(record, names[0])
+    match record:
+        case cls(matched):
+            assert matched is first
+        case _:
+            pytest.fail(f"{cls.__name__} did not match its own class pattern")
+    assert pickle.loads(pickle.dumps(record)) == record
+
+
+@pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is new in 3.13")
+def test_copy_replace_replaces_record_fields():
+    """`copy.replace` reaches `dataclasses.replace` through the shared
+    ``__replace__``."""
+    for cls, build in RECORDS.items():
+        record = build()
+        assert copy.replace(record) == record
+        name = cls.__match_args__[-1]
+        value = getattr(record, name)
+        changed = copy.replace(record, **{name: value})
+        assert changed == record and changed is not record
+
+
+_NOT_PROFILE = "profile must be a Profile, got tuple"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(call, message, id=name)
+        for name, call, message in [
+            (
+                "apply_word",
+                lambda: apply_word("b,1", E8_ROOT),
+                "word must be a WeylWord, got str",
+            ),
+            ("format_word", lambda: format_word("b,1"), "word must be a WeylWord, got str"),
+            (
+                "from_root_basis",
+                lambda: from_root_basis((1,) * 8),
+                "root coefficients must be a RootCoefficients, got tuple",
+            ),
+            ("phi", lambda: phi(((1, 2, 3),)), _NOT_PROFILE),
+            ("is_canonical", lambda: is_canonical(((1, 2, 3),)), _NOT_PROFILE),
+            (
+                "is_weakly_column_decreasing",
+                lambda: is_weakly_column_decreasing(((1, 2, 3),)),
+                _NOT_PROFILE,
+            ),
+            (
+                "cyclic_permutations",
+                lambda: cyclic_permutations(((1, 2, 3),)),
+                _NOT_PROFILE,
+            ),
+        ]
+    ],
+)
+def test_record_arguments_refuse_plain_values(call, message):
+    """The functions that take a word, root coefficients or a profile check
+    its type first, as the vector's takers do, and refuse a plain value
+    with ContractError rather than failing on a missing attribute."""
+    with pytest.raises(ContractError, match=f"^{message}$"):
+        call()

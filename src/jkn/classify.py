@@ -22,10 +22,10 @@ values descending.  The sum, the window ends and q are read off the
 signature, and the walk steps on signatures, at a cost per step of the
 number of distinct values.  A trace keeps each step's signature, r and
 degree; its :class:`ReductionStep` records and their vectors are built on
-each read of ``steps`` and not kept.  The records are declared with
-`lattice._record`, so they share `lattice._Record`'s comparison, hash and
-repr (the trace writes its own repr, of its steps), and each is stored
-once, through the store `lattice._record` compiles, which is its
+each read of ``steps`` and not kept.  The records subclass
+`lattice._Record`, so they share its comparison, hash and repr (the trace
+writes its own repr, of its steps), and each is stored once, through the
+store its metaclass `lattice._RecordType` compiles, which is its
 ``__init__``.
 """
 
@@ -37,7 +37,7 @@ from collections import namedtuple
 from typing import Iterator, Optional, Sequence
 
 from .errors import ContractError
-from .lattice import LatticeVector, SystemParams, _admit, _record, _Record
+from .lattice import LatticeVector, SystemParams, _admit, _Record
 from .lattice import _require_vector, _trusted, _window
 
 __all__ = [
@@ -117,7 +117,6 @@ _ENDS = {
 }
 
 
-@_record
 class ReductionStep(_Record):
     """One application of x -> s_beta(dec(x)).
 
@@ -132,7 +131,6 @@ class ReductionStep(_Record):
     degree_after: int
 
 
-@_record
 class ReductionTrace(_Record):
     """How the walk ended, and its steps, built each time they are read.
 
@@ -207,7 +205,6 @@ _RANGE_TRACE = ReductionTrace(TerminalKind.RANGE_VIOLATION)
 _Q_TRACE = ReductionTrace(TerminalKind.Q_VIOLATION)
 
 
-@_record
 class Classification(_Record):
     """Outcome of :func:`classify`.
 

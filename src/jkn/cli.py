@@ -48,7 +48,6 @@ from .enumeration import (
 )
 from .errors import ContractError, ResourceLimitError
 from .families import (
-    Series,
     affine_delta,
     affine_family,
     delta_family,
@@ -294,18 +293,13 @@ def _cmd_families(args: argparse.Namespace) -> None:
     else:  # affine
         if args.series is None or args.sign is None or args.m is None:
             raise ContractError("affine requires --series, --sign and --m")
-        try:
-            series = Series(args.series.upper())
-        except ValueError:
-            raise ContractError(f"unknown series {args.series!r}") from None
         indices = None
         if args.pair is not None:
-            pair = _parse_vector(args.pair)
-            if len(pair) != 2:
+            indices = _parse_vector(args.pair)
+            if len(indices) != 2:
                 raise ContractError("--pair takes two comma-separated indices i,j")
-            indices = (pair[0], pair[1])
         sign = 1 if args.sign == "+" else -1
-        v = affine_family(series, sign, args.m, params, indices)
+        v = affine_family(args.series.upper(), sign, args.m, params, indices)
     _render(
         args, v.as_json_dict, lambda: [_vec_str(v.x), f"degree {degree(v)}, q = {q(v)}"]
     )

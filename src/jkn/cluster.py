@@ -14,7 +14,7 @@ from __future__ import annotations
 from operator import index
 
 from .errors import ContractError
-from .lattice import LatticeVector, SystemParams, _ints, _record, _Record
+from .lattice import LatticeVector, SystemParams, _ints, _Record
 from .lattice import _require, _require_params, _window
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
 ]
 
 
-@_record
 class Profile(_Record):
     """d rows of sorted k-subsets of {1,...,n}, first row on top, each
     entry admitted as a vector's is, through ``operator.index``."""

@@ -44,7 +44,7 @@ from operator import itemgetter
 from typing import Callable
 
 from .classify import _MINUS_BETA, TerminalKind, _walk
-from .lattice import LatticeVector, SystemParams, _extended, _record, _Record
+from .lattice import LatticeVector, SystemParams, _extended, _Record
 from .lattice import _admitted_degree, _require_params, _stripped, _trusted
 
 __all__ = [
@@ -66,7 +66,6 @@ class OrbitKind(str, enum.Enum):
         return self.value
 
 
-@_record
 class OrbitClass(_Record):
     """A permutation orbit, held by its non-increasing representative."""
 
@@ -86,7 +85,6 @@ class OrbitClass(_Record):
         }
 
 
-@_record
 class GenericOrbit(_Record):
     """One orbit shape valid across all large enough systems.
 

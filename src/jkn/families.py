@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
 from .errors import ContractError
 from .lattice import (
@@ -22,7 +22,7 @@ from .lattice import (
     SystemParams,
     _admitted_degree,
     _extended,
-    _record,
+    _ints,
     _Record,
     _require_params,
     _stripped,
@@ -154,6 +154,7 @@ _BASES = {
 
 def affine_delta(params: SystemParams) -> LatticeVector:
     """The null root: generator of the Cartan kernel, q = 0."""
+    _require_params(params)
     for system, core, _ in _AFFINE.values():
         if system == params:
             return LatticeVector(params, core)
@@ -183,7 +184,7 @@ class Series(str, enum.Enum):
 
 
 def affine_family(
-    series: Series,
+    series: Union[Series, str],
     sign: int,
     m: int,
     params: SystemParams,
@@ -191,13 +192,19 @@ def affine_family(
 ) -> LatticeVector:
     """sign * (base root) + m * (null root), in e-coordinates.
 
-    Both roots are cores extended into ``params``.  ``indices`` supplies the
-    pair (i, j), i > j, for the digit-0 series and must be omitted
-    otherwise: e_i - e_j pairs to zero with the null root only when both
-    coordinates lie where the null root's core landed, which keeps q = 2
-    along the series.  Every m >= 1 output is a positive root (degree 0
-    exactly when the base degree cancels m times the null-root degree).
+    ``series`` is a Series or its name.  Both roots are cores extended into
+    ``params``.  ``indices`` supplies the pair (i, j), i > j, for the
+    digit-0 series and must be omitted otherwise: e_i - e_j pairs to zero
+    with the null root only when both coordinates lie where the null root's
+    core landed, which keeps q = 2 along the series.  Every m >= 1 output
+    is a positive root (degree 0 exactly when the base degree cancels m
+    times the null-root degree).
     """
+    try:
+        series = Series(series)
+    except ValueError:
+        raise ContractError(f"unknown series {series!r}") from None
+    sign, m = _ints("sign and m", (sign, m))
     if sign not in (1, -1):
         raise ContractError(f"sign must be +1 or -1, got {sign}")
     if m < 1:
@@ -207,11 +214,12 @@ def affine_family(
     system, null_core, null_degree = _AFFINE[letter]
     null = _extended(what, null_core, system.k, null_degree, params)
     if digit == "0":
-        if indices is None:
+        pair = () if indices is None else _ints("indices", indices)
+        if len(pair) != 2:
             raise ContractError(f"{what} requires indices=(i, j)")
         lo = params.k - system.k + 1
         hi = lo + system.n - 1
-        i, j = indices
+        i, j = pair
         if not (lo <= j < i <= hi):
             raise ContractError(
                 f"{what} at k={params.k} needs {lo} <= j < i <= {hi},"
@@ -246,7 +254,6 @@ def is_finite_type(params: SystemParams) -> bool:
     return definiteness_margin(params) > 0
 
 
-@_record
 class WeightVector(_Record):
     """A fundamental weight in both coordinate systems.
 
@@ -399,7 +406,6 @@ def sum_of_positive_roots(params: SystemParams) -> LatticeVector:
 # Degree-vector form of J(3,8) elements
 
 
-@_record
 class ManinVector(_Record):
     """(a, b1..b8): the degree then the eight coordinates.
 

@@ -25,10 +25,10 @@ type of a record argument, by a check `_require` makes for its class:
 `_require_params`, `_require_vector` and `_require_coefficients` here,
 `_require_word` in `weyl` and `_require_profile` in `cluster`.
 
-Every record of the package is declared with `_record` on the base
-`_Record`.  `_record` rebuilds the class body as a slots class of its
-annotated fields, as `dataclasses` rebuilds a slots dataclass, without
-importing `dataclasses`; the record's ``__repr__``, ``__eq__``,
+Every record of the package is declared by subclassing `_Record` alone:
+its metaclass, `_RecordType`, builds the class body once as a slots class
+of its annotated fields, as `dataclasses` builds a slots dataclass,
+without importing `dataclasses`; the record's ``__repr__``, ``__eq__``,
 ``__hash__``, frozen ``__setattr__``/``__delattr__``, ``__replace__`` and
 pickling state are written once, in `_Record`.  They behave as a frozen
 dataclass's do.  The record reads as a dataclass to `dataclasses.fields`,
@@ -38,8 +38,8 @@ dataclass's do.  The record reads as a dataclass to `dataclasses.fields`,
 ``dataclass(slots=True, init=False, repr=False, eq=False)``, so ``eq``,
 ``frozen`` and ``repr`` read False.  So `import jkn` loads neither
 `dataclasses` nor the `inspect` it imports.  Each record is written
-through one store, which `_record` compiles and binds as ``_store``: it is
-the ``__init__`` of a record of proved values, and the last call of a
+through one store, which `_RecordType` compiles and binds as ``_store``:
+it is the ``__init__`` of a record of proved values, and the last call of a
 checking ``__init__``, of `_trusted` and of unpickling.
 """
 
@@ -65,7 +65,57 @@ __all__ = [
 ]
 
 
-class _Record:
+class _RecordType(type):
+    """The metaclass of `_Record`: it builds each subclass, from its class
+    body, as a slots class of its annotated fields, in order, as
+    `dataclasses` builds a slots dataclass, but once: ``__slots__`` and
+    ``__match_args__`` are the field names, which are also bound as
+    ``_names``, and a field's default leaves the body for the store's
+    defaults.  The class reads as a dataclass to `dataclasses.fields`,
+    `replace`, `asdict` and `is_dataclass` through its two
+    `_DataclassAttribute`s, which import `dataclasses` on first read; until
+    then it is not imported.  `_Record` itself, which has no bases, is built
+    as written and is no dataclass.
+
+    The store is the one place a record is written: an ``__init__`` that
+    takes the fields in order, with their defaults, and stores each through
+    its slot's member descriptor, unchecked.  The frozen ``__setattr__``
+    refuses the store, and going round it through ``object`` costs about
+    twice as much.  A class body without an ``__init__``, a record of proved
+    values, takes the store as its ``__init__``; a checking ``__init__``
+    ends by calling it, `_trusted` calls it without the checks, and
+    unpickling writes the state through it.  Like the ``__init__``
+    `dataclasses` writes, it is compiled from the field names alone; the
+    defaults are bound as objects."""
+
+    def __new__(mcls, name: str, bases: tuple, body: dict) -> type:
+        if not bases:
+            return super().__new__(mcls, name, bases, body)
+        annotations = body.setdefault("__annotations__", {})
+        names = tuple(annotations)
+        has_default = [field in body for field in names]
+        if has_default != sorted(has_default):
+            raise TypeError(f"{name}: a field without a default follows one with")
+        defaults = tuple(body.pop(field) for field in names if field in body)
+        body["__slots__"] = body["__match_args__"] = body["_names"] = names
+        body["__dataclass_fields__"] = _DataclassAttribute()
+        body["__dataclass_params__"] = _DataclassAttribute()
+        cls = super().__new__(mcls, name, bases, body)
+        namespace = {f"_set_{field}": cls.__dict__[field].__set__ for field in names}
+        stores = "".join(f"\n    _set_{field}(self, {field})" for field in names)
+        exec(f"def __init__(self, {', '.join(names)}):{stores}", namespace)
+        store = cls._store = namespace["__init__"]
+        store.__defaults__ = defaults or None
+        store.__qualname__ = f"{cls.__qualname__}.__init__"
+        store.__module__ = cls.__module__
+        store.__annotations__ = {field: annotations[field] for field in names}
+        store.__annotations__["return"] = None
+        if "__init__" not in body:
+            cls.__init__ = store
+        return cls
+
+
+class _Record(metaclass=_RecordType):
     """The methods every record shares, read from its class's field names
     ``_names``: a frozen dataclass's ``__repr__``, ``__eq__``, ``__hash__``,
     ``__setattr__``, ``__delattr__`` and ``__replace__``, with the same
@@ -147,56 +197,6 @@ class _DataclassAttribute:
         return twin.__dict__[self._name]
 
 
-def _record(cls: type) -> type:
-    """The `_Record` subclass ``cls`` rebuilt as a slots class of its
-    annotated fields, in order, as `dataclasses` rebuilds a slots
-    dataclass: ``__slots__`` and ``__match_args__`` are the field names,
-    which are also bound as ``_names``, and a field's default leaves the
-    class for the store's defaults.  The class reads as a dataclass to
-    `dataclasses.fields`, `replace`, `asdict` and `is_dataclass` through
-    its two `_DataclassAttribute`s, which import `dataclasses` on first
-    read; until then it is not imported.
-
-    The store is the one place a record is written: an ``__init__`` that
-    takes the fields in order, with their defaults, and stores each through
-    its slot's member descriptor, unchecked.  The frozen ``__setattr__``
-    refuses the store, and going round it through ``object`` costs about
-    twice as much.  A class body without an ``__init__``, a record of proved
-    values, takes the store as its ``__init__``; a checking ``__init__``
-    ends by calling it, `_trusted` calls it without the checks, and
-    unpickling writes the state through it.  Like the ``__init__``
-    `dataclasses` writes, it is compiled from the field names alone; the
-    defaults are bound as objects."""
-    body = dict(cls.__dict__)
-    annotations = body["__annotations__"]
-    names = tuple(annotations)
-    has_default = [name in body for name in names]
-    if has_default != sorted(has_default):
-        raise TypeError(f"{cls.__name__}: a field without a default follows one with")
-    defaults = tuple(body.pop(name) for name in names if name in body)
-    body.pop("__dict__", None)
-    body.pop("__weakref__", None)
-    body["__slots__"] = body["__match_args__"] = body["_names"] = names
-    body["__qualname__"] = cls.__qualname__
-    body["__dataclass_fields__"] = _DataclassAttribute()
-    body["__dataclass_params__"] = _DataclassAttribute()
-    own_init = "__init__" in body
-    cls = type(cls)(cls.__name__, cls.__bases__, body)
-    namespace = {f"_set_{name}": cls.__dict__[name].__set__ for name in names}
-    stores = "".join(f"\n    _set_{name}(self, {name})" for name in names)
-    exec(f"def __init__(self, {', '.join(names)}):{stores}", namespace)
-    store = cls._store = namespace["__init__"]
-    store.__defaults__ = defaults or None
-    store.__qualname__ = f"{cls.__qualname__}.__init__"
-    store.__module__ = cls.__module__
-    store.__annotations__ = {name: annotations[name] for name in names}
-    store.__annotations__["return"] = None
-    if not own_init:
-        cls.__init__ = store
-    return cls
-
-
-@_record
 class SystemParams(_Record):
     """Parameters (k, n) of a system J(k,n).
 
@@ -225,14 +225,13 @@ class SystemParams(_Record):
         return f"J({self.k},{self.n})"
 
 
-@_record
 class LatticeVector(_Record):
     """Element of ZDelta in the coordinates (x_1, ..., x_n).
 
     Construction checks that ``params`` is a SystemParams, turns the
     entries into a tuple of ints (bools and numpy integers pass, floats and
     strings do not), checks the length and lattice membership (k | sum of
-    entries), and stores the fields through the `_record` store.
+    entries), and stores the fields through the class's store.
     `_trusted` calls the same store without the checks, for a vector the
     library has proved to lie in the lattice: a negation, the vectors of a
     trace's steps (built on each read), an orbit representative built from
@@ -271,7 +270,6 @@ class LatticeVector(_Record):
         return {"k": self.params.k, "n": self.params.n, "x": list(self.x)}
 
 
-@_record
 class RootCoefficients(_Record):
     """The same lattice element written in the simple-root basis.
 
@@ -313,7 +311,7 @@ def _trusted(
 ) -> LatticeVector:
     """A vector of ints the caller has proved to be in J(params)'s lattice;
     nothing is checked, and the fields go straight into their slots through
-    the class's `_record` store.  The class and its store are bound here, at
+    the class's store.  The class and its store are bound here, at
     import: the benchmark's tracer rebinds the name `LatticeVector` to a
     wrapper function."""
     v = _new(_cls)

@@ -20,7 +20,7 @@ from operator import index
 from typing import Union
 
 from .errors import ContractError
-from .lattice import LatticeVector, _ints, _record, _Record, _require
+from .lattice import LatticeVector, _ints, _Record, _require
 from .lattice import _require_vector, degree
 
 __all__ = [
@@ -40,7 +40,6 @@ S_BETA = "b"
 Letter = Union[int, str]
 
 
-@_record
 class WeylWord(_Record):
     """A finite sequence of generators, each S(i) as an int or ``S_BETA``;
     the constructor stores each index as an int."""
@@ -70,6 +69,7 @@ class WeylWord(_Record):
 
 
 _require_word = _require(WeylWord, "word")
+_require_text = _require(str, "word text")
 
 
 def apply_s_i(i: int, v: LatticeVector) -> LatticeVector:
@@ -115,6 +115,7 @@ def apply_word(w: WeylWord, v: LatticeVector) -> LatticeVector:
 
 def parse_word(text: str) -> WeylWord:
     """Parse the CLI word syntax, e.g. ``"b,3,b,1"``."""
+    _require_text(text)
     letters: list[Letter] = []
     text = text.strip()
     if text:

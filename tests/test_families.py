@@ -315,6 +315,39 @@ def test_affine_family_preconditions():
         affine_family(Series.C1, 1, 1, SystemParams(4, 7))  # needs n-k >= 4
 
 
+def test_affine_family_admits_a_series_name():
+    host = SystemParams(4, 10)
+    assert affine_family("A1", 1, 1, host) == affine_family(Series.A1, 1, 1, host)
+
+
+_A0, _A1, _J39 = Series.A0, Series.A1, SystemParams(3, 9)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        pytest.param(args, message, id=name)
+        for name, args, message in [
+            ("series-unknown", ("Z9", 1, 1, _J39), "unknown series 'Z9'"),
+            ("series-int", (3, 1, 1, _J39), "unknown series 3"),
+            ("m-str", (_A1, 1, "2", _J39), "sign and m must be integers"),
+            ("m-float", (_A1, 1, 1.5, _J39), "sign and m must be integers"),
+            (
+                "indices-one",
+                (_A0, 1, 1, _J39, (1,)),
+                r"series A0 requires indices=\(i, j\)",
+            ),
+            ("indices-str", (_A0, 1, 1, _J39, ("2", "1")), "indices must be integers"),
+        ]
+    ],
+)
+def test_affine_family_refuses_bad_arguments(args, message):
+    """The series, sign, m and indices are refused with ContractError naming
+    the argument, not a TypeError or AttributeError from inside."""
+    with pytest.raises(ContractError, match=f"^{message}$"):
+        affine_family(*args)
+
+
 def test_manin_curve_rows():
     """The seven exceptional-curve rows at m = 1 in J(4,10)."""
     host = SystemParams(4, 10)

@@ -6,22 +6,24 @@ Each is rebuilt here through the public constructor, which must accept it
 and give back an equal vector of ints, and `_trusted` must keep working when
 the name `LatticeVector` is rebound to a wrapper function, as the
 benchmark's tracer does; so must the check that refuses what is not a
-vector.  Every public record is written through one store, which
-`lattice._record` compiles and binds as the class's `_store`; `_trusted` and
-unpickling write through it too.  The walk's `ReductionStep` records, the
-`ReductionTrace` and `Classification` that `classify` returns, the
-`OrbitClass` and `GenericOrbit` records of the orbit search, `WeightVector`
-and `ManinVector` take that store as their `__init__`; `SystemParams`,
-`LatticeVector`, `RootCoefficients`, `WeylWord` and `Profile` check their
-arguments first and then call it.  Each record the library returns must
-equal the one built from freshly checked vectors, and each of the twelve
-must stay a dataclass that behaves as a frozen one, whose `__init__` keeps
-to its fields and their defaults and reads like a method written in the
-class.  Their `__repr__`, `__eq__`, `__hash__` and frozen setters are
-written once, in the base `lattice._Record`, and no record compiles its own.
-A trace's steps are built on each read and not kept.  The two zero-step
-traces, of a range break before any step and of a q violation, are shared by
-every result of their kind and must behave as records of their own.
+vector.  Every public record is written through one store, which the
+metaclass `lattice._RecordType` compiles and binds as the class's `_store`;
+`_trusted` and unpickling write through it too.  The walk's `ReductionStep`
+records, the `ReductionTrace` and `Classification` that `classify` returns,
+the `OrbitClass` and `GenericOrbit` records of the orbit search,
+`WeightVector` and `ManinVector` take that store as their `__init__`;
+`SystemParams`, `LatticeVector`, `RootCoefficients`, `WeylWord` and
+`Profile` check their arguments first and then call it.  Each record the
+library returns must equal the one built from freshly checked vectors, and
+each of the twelve must stay a dataclass that behaves as a frozen one,
+whose `__init__` keeps to its fields and their defaults and reads like a
+method written in the class.  Their `__repr__`, `__eq__`, `__hash__` and
+frozen setters are written once, in the base `lattice._Record`, and no
+record compiles its own.  A class declared by subclassing `_Record` alone,
+here, is as complete a record as the library's.  A trace's steps are built
+on each read and not kept.  The two zero-step traces, of a range break
+before any step and of a q violation, are shared by every result of their
+kind and must behave as records of their own.
 """
 
 import copy
@@ -49,6 +51,7 @@ from jkn import (
     TerminalKind,
     WeightVector,
     WeylWord,
+    affine_delta,
     apply_word,
     canonical_profile,
     classify,
@@ -71,7 +74,7 @@ from jkn import (
     to_root_basis,
 )
 from jkn.classify import _walk
-from jkn.lattice import _Record, _trusted
+from jkn.lattice import _Record, _RecordType, _trusted
 
 from conftest import entries_walk
 
@@ -326,7 +329,7 @@ def test_record_init_keeps_to_its_fields(cls):
 
 @pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
 def test_one_store_per_record(cls, monkeypatch):
-    """Each record has one store, compiled by `_record`: the __init__ of a
+    """Each record has one store, compiled by `_RecordType`: the __init__ of a
     record of proved values, called last by a checking __init__, and the
     writer of unpickled state.  `_trusted` calls LatticeVector's."""
     store = cls.__dict__["_store"]
@@ -469,7 +472,7 @@ def _as_dict(value):
 
 @pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
 def test_records_read_as_dataclasses(cls):
-    """`_record` builds each slots class itself, and `dataclasses` still
+    """`_RecordType` builds each slots class itself, and `dataclasses` still
     reads it as the dataclass `dataclass(slots=True, init=False, repr=False,
     eq=False)` made of it: the fields are the annotated names, in order;
     `fields`, `replace`, `asdict` and `is_dataclass` work on the class and
@@ -477,6 +480,7 @@ def test_records_read_as_dataclasses(cls):
     setting and deleting a field raise `FrozenInstanceError`; a class
     pattern matches the fields in order; and a record pickles.  The shared
     base is no dataclass."""
+    assert type(cls) is type(_Record) is _RecordType
     record = RECORDS[cls]()
     names = tuple(cls.__dict__["__annotations__"])
     assert cls.__slots__ == cls.__match_args__ == names
@@ -537,6 +541,12 @@ _NOT_PROFILE = "profile must be a Profile, got tuple"
                 "root coefficients must be a RootCoefficients, got tuple",
             ),
             ("phi", lambda: phi(((1, 2, 3),)), _NOT_PROFILE),
+            ("parse_word", lambda: parse_word(3), "word text must be a str, got int"),
+            (
+                "affine_delta",
+                lambda: affine_delta((3, 9)),
+                "params must be a SystemParams, got tuple",
+            ),
             ("is_canonical", lambda: is_canonical(((1, 2, 3),)), _NOT_PROFILE),
             (
                 "is_weakly_column_decreasing",
@@ -552,8 +562,51 @@ _NOT_PROFILE = "profile must be a Profile, got tuple"
     ],
 )
 def test_record_arguments_refuse_plain_values(call, message):
-    """The functions that take a word, root coefficients or a profile check
-    its type first, as the vector's takers do, and refuse a plain value
-    with ContractError rather than failing on a missing attribute."""
+    """The functions that take a word, root coefficients, a profile, params
+    or a word's text check its type first, as the vector's takers do, and
+    refuse a plain value with ContractError rather than failing on a missing
+    attribute."""
     with pytest.raises(ContractError, match=f"^{message}$"):
         call()
+
+
+class Pair(_Record):
+    """A record declared here by subclassing `_Record` alone."""
+
+    a: int
+    b: int = 0
+
+
+def test_a_subclass_alone_is_a_complete_record():
+    """`_RecordType` builds every `_Record` subclass as a record: a slots
+    class with the shared methods, a store of its fields and defaults as its
+    __init__, read as a dataclass, pickled by its field values."""
+    pair = Pair(1, 2)
+    assert type(Pair) is _RecordType
+    assert not hasattr(pair, "__dict__") and "__weakref__" not in Pair.__dict__
+    assert Pair.__slots__ == Pair.__match_args__ == Pair._names == ("a", "b")
+    assert repr(pair) == "Pair(a=1, b=2)" and repr(Pair(3)) == "Pair(a=3, b=0)"
+    assert pair == Pair(a=1, b=2) and pair != Pair(1) and pair != (1, 2)
+    assert hash(pair) == hash((1, 2))
+    assert pickle.loads(pickle.dumps(pair)) == pair
+    assert [(f.name, f.default) for f in dataclasses.fields(Pair)] == [
+        ("a", dataclasses.MISSING),
+        ("b", 0),
+    ]
+    assert dataclasses.replace(pair, b=5) == Pair(1, 5)
+    assert Pair.__init__ is Pair._store
+    signature = inspect.signature(Pair._store)
+    assert list(signature.parameters) == ["self", "a", "b"]
+    assert signature.parameters["b"].default == 0
+    assert signature.parameters["a"].default is inspect.Parameter.empty
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pair.a = 3
+
+
+def test_a_field_without_a_default_after_one_with_is_refused():
+    message = "^Bad: a field without a default follows one with$"
+    with pytest.raises(TypeError, match=message):
+
+        class Bad(_Record):
+            a: int = 0
+            b: int

@@ -3,7 +3,8 @@
 The symmetric group S_n acts on the lattice by coordinate permutations, so
 counting roots of a fixed degree d reduces to listing non-increasing
 representatives x with entries in [0, d], sum k*d and q(x) = 2, classifying
-each, and weighting by the orbit size n! / prod(multiplicities!).
+each, and weighting by the orbit size n! / prod(multiplicities!), which
+`_size` forms as a falling factorial with no n!.
 
 The search picks the multiplicities (m_d, ..., m_1, m_0) of a
 representative's entries, recursing only on a nonzero one, so it is at most
@@ -26,6 +27,11 @@ next to it) and the orbit's kind, one call per orbit, so the search holds
 no list of signatures.  `enumerate_orbits` and `enumerate_generic` are
 leaves that build records; `_census` lists each kind's signatures and
 builds none, and `_roots` sums the orbit sizes of the one kind asked for.
+Both sizes come from `_size`: n! / prod(m_v!) is the falling factorial
+n! / m! over the other counts' factorials, for any count m.  It takes m as
+the larger of the first and last counts (the leading d's and the zeros),
+since the counts between sum to at most 4d - 2, the size of the generic
+orbits' host below, however large n is; so no size forms n!.
 
 Every orbit of degree d, over all (k, n) at once, is captured by a finite
 list of generic orbits: stripped to minimal support, a representative is a
@@ -117,10 +123,10 @@ class GenericOrbit(_Record):
         }
 
 
-# The orbit kinds a walk's end gives, and the orbit size's three functions,
+# The orbit kinds a walk's end gives, and the orbit size's four functions,
 # bound once rather than read or built per orbit
 _REAL, _ALMOST_REAL = OrbitKind.REAL, OrbitKind.ALMOST_REAL
-_prod, _factorial, _counts = math.prod, math.factorial, itemgetter(1)
+_perm, _prod, _factorial, _counts = math.perm, math.prod, math.factorial, itemgetter(1)
 
 # The closed-form tail's pieces for a count m below _SHARED, indexed by m:
 # the signature piece ((c, m),) and the run (c,) * m for each c in [0, 3],
@@ -133,6 +139,15 @@ _PAIRS3, _PAIRS2, _PAIRS1, _PAIRS0 = (
 _RUNS3, _RUNS2, _RUNS1, _RUNS0 = (
     tuple((c,) * m for m in range(_SHARED)) for c in range(3, -1, -1)
 )
+
+
+def _size(n: int, sig: tuple) -> int:
+    """The orbit size n! / prod(m_v!) of the signature ``sig`` of n entries:
+    perm(n, n - m) over the other counts' factorials, where m is the larger
+    of the first and last counts, so no n! is formed."""
+    first, last = sig[0][1], sig[-1][1]
+    m, others = (first, sig[1:]) if first >= last else (last, sig[:-1])
+    return _perm(n, n - m) // _prod(map(_factorial, map(_counts, others)))
 
 
 def _fits(w: int, slots: int, s: int, t: int) -> bool:
@@ -251,22 +266,21 @@ def enumerate_orbits(params: SystemParams, degree: int) -> tuple[OrbitClass, ...
     """All real and almost-real orbit classes of the given degree.
 
     A record-building leaf on `_walked`, so sorted lexicographically
-    descending by representative; each orbit size n! / prod(m_v!) takes
-    n! once.  Nothing is cached across calls: a caller that needs the
-    result twice keeps it.
+    descending by representative; each orbit size n! / prod(m_v!) is one
+    `_size` call, which forms no n!.  Nothing is cached across calls: a
+    caller that needs the result twice keeps it.
     """
     _require_params(params)
     d = _admitted_degree("enumerate_orbits", degree)
-    n_factorial = math.factorial(params.n)
+    n = params.n
     classes = []
     add = classes.append
 
     def leaf(sig: tuple, x: tuple, kind: OrbitKind) -> None:
-        size = n_factorial // _prod(map(_factorial, map(_counts, sig)))
         # the search keeps only signatures whose n entries are ints summing to k*d
-        add(OrbitClass(_trusted(params, x), d, kind, size, sig))
+        add(OrbitClass(_trusted(params, x), d, kind, _size(n, sig), sig))
 
-    _walked(params.k, params.n, d, leaf)
+    _walked(params.k, n, d, leaf)
     return tuple(classes)
 
 
@@ -302,9 +316,9 @@ def _census(params: SystemParams, d: int) -> dict[OrbitKind, list[tuple]]:
 
 def _roots(params: SystemParams, sigs: list[tuple]) -> int:
     """The roots in the orbits of J(params) with signatures ``sigs``: their
-    sizes n! / prod(m_v!) summed, with n! taken once."""
-    n_factorial = math.factorial(params.n)
-    return sum(n_factorial // _prod(map(_factorial, map(_counts, sig))) for sig in sigs)
+    sizes n! / prod(m_v!) summed, each one `_size` call."""
+    n = params.n
+    return sum(_size(n, sig) for sig in sigs)
 
 
 def enumerate_generic(degree: int) -> tuple[GenericOrbit, ...]:

@@ -114,9 +114,10 @@ def test_census_cross_check():
         assert _roots(p, census[OrbitKind.ALMOST_REAL]) == count_almost_real_roots(p, d)
 
 
-@pytest.mark.parametrize("k,n", [(3, 10), (3, 11), (4, 11), (2, 9), (3, 12)])
+@pytest.mark.parametrize("k,n", [(3, 10), (3, 11), (4, 11), (2, 9), (3, 12), (3, 2000)])
 def test_duality_preserves_counts(k, n):
-    """J(k,n) and J(n-k,n) have equal real and almost-real counts per degree."""
+    """J(k,n) and J(n-k,n) have equal real and almost-real counts per degree.
+    J(1997,2000) has few zeros, so its orbit sizes divide by the leading d's."""
     for d in range(1, 9):
         assert count_real_roots(SystemParams(k, n), d) == count_real_roots(
             SystemParams(n - k, n), d
@@ -124,6 +125,74 @@ def test_duality_preserves_counts(k, n):
         assert count_almost_real_roots(
             SystemParams(k, n), d
         ) == count_almost_real_roots(SystemParams(n - k, n), d), d
+
+
+def _multinomial(*counts):
+    """(sum of counts)! / prod(count!) as a product of binomials; 0 when a
+    count is negative, as when a core does not fit the system."""
+    if min(counts) < 0:
+        return 0
+    out, total = 1, 0
+    for c in counts:
+        total += c
+        out *= math.comb(total, c)
+    return out
+
+
+def _hand_real_count(k, n, d):
+    """The real roots of degree d <= 3 of J(k,n) by hand: beta's orbit at
+    d = 1, then the generic cores, each extended by leading d's and trailing
+    zeros: (1^6) of J(3,6) at d = 2, and (2,1^7), (2^4,1^4) and (2^7,1) of
+    J(3,8), J(4,8) and J(5,8) at d = 3."""
+    if d == 1:
+        return math.comb(n, k)
+    if d == 2:
+        return _multinomial(k - 3, 6, n - k - 3)
+    return (
+        _multinomial(k - 3, 1, 7, n - k - 5)
+        + _multinomial(k - 4, 4, 4, n - k - 4)
+        + _multinomial(k - 5, 7, 1, n - k - 3)
+    )
+
+
+def test_counts_at_large_n_match_hand_formulas():
+    """Root counts at n = 10^5 and 10^6 are exact, and quick: each orbit
+    size is a falling factorial, with no n! formed.  The hand formulas are
+    first checked on every reference row."""
+    for (k, n), row in REAL_COUNTS.items():
+        assert [_hand_real_count(k, n, d) for d in (1, 2, 3)] == list(row[:3]), (k, n)
+    for k, n in [(3, 10**6), (999_997, 10**6), (40, 10**5), (99_960, 10**5)]:
+        p = SystemParams(k, n)
+        for d in (1, 2, 3):
+            assert count_real_roots(p, d) == _hand_real_count(k, n, d), (k, n, d)
+
+
+def _candidates(k, n, d):
+    """The x in [0, d]^n with sum k*d and square sum 2 + (k-2)*d^2, counted
+    by a DP over the coordinates on (sum, square sum)."""
+    s_top, t_top = k * d, 2 + (k - 2) * d * d
+    ways = {(0, 0): 1}
+    for _ in range(n):
+        after = defaultdict(int)
+        for (s, t), w in ways.items():
+            for c in range(d + 1):
+                if s + c > s_top or t + c * c > t_top:
+                    break
+                after[s + c, t + c * c] += w
+        ways = after
+    return ways.get((s_top, t_top), 0)
+
+
+@pytest.mark.parametrize("k,n", [(3, 10), (4, 9), (3, 11), (4, 10)])
+def test_candidates_are_real_or_almost_real(k, n):
+    """Every candidate of degree d, a norm-2 vector with entries in [0, d],
+    is a real or an almost-real root, so a DP that shares nothing with the
+    search or the walk counts them both."""
+    p = SystemParams(k, n)
+    for d in range(1, 8):
+        assert _candidates(k, n, d) == count_real_roots(p, d) + count_almost_real_roots(
+            p, d
+        ), d
 
 
 def test_representatives_are_sorted_and_ordered():
